@@ -20,7 +20,8 @@ from typing import Any, Callable, Dict, Generator, Optional, Tuple
 from repro.hw.platform import ComputeNode
 from repro.net.message import Message
 from repro.net.tcp import TcpConnection, TcpStack
-from repro.sim.core import Environment, Event, Process
+from repro.sim.core import Environment, Event
+from repro.sim.resources import Listener
 
 __all__ = ["StatusCode", "GrpcError", "GrpcServer", "GrpcChannel"]
 
@@ -78,19 +79,20 @@ class GrpcServer:
         """Registered (service, method) pairs."""
         return sorted(self._methods)
 
-    def serve(self, conn: TcpConnection) -> Process:
+    def serve(self, conn: TcpConnection) -> Listener:
         """Service unary calls arriving on ``conn``."""
-        return self.env.process(self._loop(conn), name="grpc-server")
+        start = self.env.process_inline
+        dispatch = self._dispatch
 
-    def _loop(self, conn: TcpConnection):
-        name = self.node.name
-        while True:
-            msg = yield conn.recv(name)
-            if msg.kind == "grpc.shutdown":
-                return
-            if msg.kind != "grpc.req":
-                continue
-            self.env.process(self._dispatch(conn, msg), name="grpc-call")
+        def on_message(msg: Message) -> None:
+            kind = msg.kind
+            if kind == "grpc.req":
+                start(dispatch(conn, msg), "grpc-call")
+            elif kind == "grpc.shutdown":
+                listener.close()
+
+        listener = conn.listen(self.node.name, on_message)
+        return listener
 
     def _dispatch(self, conn: TcpConnection, msg: Message):
         body = msg.payload
@@ -147,7 +149,7 @@ class GrpcChannel:
             self._server_stack = server_stack or TcpStack(server_node)
             self.conn = self._client_stack.connect(self._server_stack)
         self._pending: Dict[int, Event] = {}
-        self._demux: Optional[Process] = None
+        self._demux: Optional[Listener] = None
         #: Metadata attached to every call (bearer token etc.).
         self.default_metadata: Dict[str, Any] = {}
 
@@ -160,18 +162,15 @@ class GrpcChannel:
         return self
 
     def start(self) -> "GrpcChannel":
-        """Spawn the response demultiplexer (no-op for loopback channels)."""
+        """Attach the response demultiplexer (no-op for loopback channels)."""
         if not self.local and self._demux is None:
-            self._demux = self.env.process(self._demux_loop(), name="grpc-demux")
+            self._demux = self.conn.listen(self.node.name, self._on_reply)
         return self
 
-    def _demux_loop(self):
-        name = self.node.name
-        while True:
-            msg = yield self.conn.recv(name)
-            waiter = self._pending.pop(msg.tag, None)
-            if waiter is not None:
-                waiter.succeed(msg)
+    def _on_reply(self, msg: Message) -> None:
+        waiter = self._pending.pop(msg.tag, None)
+        if waiter is not None:
+            waiter.succeed(msg)
 
     def unary(
         self,

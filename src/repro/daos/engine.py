@@ -37,7 +37,8 @@ from repro.daos.vos import VersionedObjectStore
 from repro.hw.platform import StorageNode
 from repro.hw.specs import US
 from repro.net.fabric import FabricChannel, RemoteRegion
-from repro.sim.core import Environment, Event, Process
+from repro.sim.core import Environment
+from repro.sim.resources import Listener
 from repro.storage.block import BlockDevice
 from repro.storage.context import JobThread
 from repro.storage.pmdk import PmemPool
@@ -150,7 +151,7 @@ class DaosEngine:
         p.containers[cid] = _Container(cid)
         return cid
 
-    def serve(self, channel: FabricChannel) -> Process:
+    def serve(self, channel: FabricChannel) -> Listener:
         """Service DAOS RPCs arriving on ``channel``."""
         return self.rpc.serve(channel)
 

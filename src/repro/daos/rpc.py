@@ -8,6 +8,10 @@ request.  This module reproduces that shape:
   one or more channels, replies with results or propagated errors.
 * :class:`RpcClient` — tagged calls with a completion demultiplexer.
 
+Both receive through channel listeners rather than parked receive loops:
+a request starts its handler process inline at the delivery event, and a
+reply wakes its caller from there (DESIGN.md §9).
+
 Handlers receive ``(args, src, channel)`` so they can drive one-sided bulk
 transfers against descriptors the client put in ``args`` — exactly how a
 DAOS engine pulls write payloads and pushes read payloads.
@@ -24,7 +28,8 @@ from repro.hw.platform import ComputeNode
 from repro.net.fabric import FabricChannel
 from repro.net.message import Message
 from repro.net.rdma import RdmaError
-from repro.sim.core import Environment, Event, Process
+from repro.sim.core import Environment, Event
+from repro.sim.resources import Listener
 
 __all__ = ["RpcError", "RpcTimeout", "RpcServer", "RpcClient", "RPC_REQUEST_BYTES"]
 
@@ -106,21 +111,22 @@ class RpcServer:
         """Registered opcode names."""
         return sorted(self._handlers)
 
-    def serve(self, channel: FabricChannel) -> Process:
+    def serve(self, channel: FabricChannel) -> Listener:
         """Start servicing requests arriving on ``channel``."""
-        proc = self.env.process(self._serve_loop(channel), name="rpc-server")
-        self._loops.append(proc)
-        return proc
+        start = self.env.process_inline
+        dispatch = self._dispatch
 
-    def _serve_loop(self, channel: FabricChannel):
-        name = self.node.name
-        while True:
-            msg = yield channel.recv(name)
-            if msg.kind == "rpc.shutdown":
-                return
-            if msg.kind != "rpc.req":
-                continue  # stray message; CaRT drops unknown traffic
-            self.env.process(self._dispatch(channel, msg), name="rpc-handler")
+        def on_message(msg: Message) -> None:
+            kind = msg.kind
+            if kind == "rpc.req":
+                start(dispatch(channel, msg), "rpc-handler")
+            elif kind == "rpc.shutdown":
+                listener.close()
+            # Anything else is stray; CaRT drops unknown traffic.
+
+        listener = channel.listen(self.node.name, on_message)
+        self._loops.append(listener)
+        return listener
 
     def _dispatch(self, channel: FabricChannel, msg: Message):
         # One generator frame per request: the accounting wrapper and the
@@ -204,7 +210,7 @@ class RpcServer:
 
 
 class RpcClient:
-    """Tagged RPC calls over one channel, with a demux loop."""
+    """Tagged RPC calls over one channel, with a reply demultiplexer."""
 
     _tags = itertools.count(1)
 
@@ -214,21 +220,18 @@ class RpcClient:
         self.channel = channel
         self.server_name = channel.peer_of(node.name)
         self._pending: Dict[int, Event] = {}
-        self._demux: Optional[Process] = None
+        self._demux: Optional[Listener] = None
 
     def start(self) -> "RpcClient":
-        """Spawn the reply demultiplexer; call once before any call."""
+        """Attach the reply demultiplexer; call once before any call."""
         if self._demux is None:
-            self._demux = self.env.process(self._demux_loop(), name="rpc-demux")
+            self._demux = self.channel.listen(self.node.name, self._on_reply)
         return self
 
-    def _demux_loop(self):
-        name = self.node.name
-        while True:
-            msg = yield self.channel.recv(name)
-            waiter = self._pending.pop(msg.tag, None)
-            if waiter is not None:
-                waiter.succeed(msg)
+    def _on_reply(self, msg: Message) -> None:
+        waiter = self._pending.pop(msg.tag, None)
+        if waiter is not None:
+            waiter.succeed(msg)
 
     def call(
         self,

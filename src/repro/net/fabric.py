@@ -35,7 +35,7 @@ from repro.net.rdma import (
 )
 from repro.net.tcp import TcpConnection, TcpStack
 from repro.sim.core import Environment, Event
-from repro.sim.resources import Store
+from repro.sim.resources import Listener, Mailbox
 
 __all__ = [
     "PROVIDERS",
@@ -145,6 +145,14 @@ class FabricChannel:
         """Event yielding the next message for endpoint ``name``."""
         raise NotImplementedError
 
+    def listen(self, name: str, fn) -> Listener:
+        """Hand every message delivered to ``name`` to ``fn(msg)``.
+
+        The receive path of servers and reply demultiplexers: no process
+        parks on the inbox; see :class:`~repro.sim.resources.Mailbox`.
+        """
+        raise NotImplementedError
+
     def register(
         self,
         name: str,
@@ -213,6 +221,9 @@ class TcpChannel(FabricChannel):
     def recv(self, name: str):
         return self._conn.recv(name)
 
+    def listen(self, name: str, fn) -> Listener:
+        return self._conn.listen(name, fn)
+
     def register(self, name, length, buffer=None, valid_until=None):
         if name not in self.nodes:
             raise KeyError(f"{name!r} is not an endpoint of this channel")
@@ -255,11 +266,11 @@ class TcpChannel(FabricChannel):
         req = Message(src=initiator, dst=target, kind="_rxm_read_req", nbytes=32,
                       meta=dict(meta))
         yield from self._conn.send(req)
-        yield self._conn.recv_internal(target)
+        self._conn.take_internal(target)
         data = Message(src=target, dst=initiator, kind="_rxm_read_data",
                        nbytes=nbytes, meta=dict(meta))
         yield from self._conn.send(data)
-        yield self._conn.recv_internal(initiator)
+        self._conn.take_internal(initiator)
         buffer = entry[1]
         if buffer is not None:
             return bytes(memoryview(buffer)[offset:offset + nbytes])
@@ -276,7 +287,7 @@ class TcpChannel(FabricChannel):
         data = Message(src=initiator, dst=target, kind="_rxm_write", nbytes=size,
                        meta=dict(meta))
         yield from self._conn.send(data)
-        yield self._conn.recv_internal(target)
+        self._conn.take_internal(target)
         buffer = entry[1]
         if buffer is not None and payload is not None:
             memoryview(buffer)[offset:offset + size] = bytes(payload)
@@ -304,9 +315,10 @@ class RdmaChannel(FabricChannel):
             b.name: devices[b.name].create_qp(self.pds[b.name]),
         }
         self.qps[a.name].connect(self.qps[b.name])
-        self._inbox: Dict[str, Store] = {
-            a.name: Store(self.env, name=f"{a.name}.fabric_inbox"),
-            b.name: Store(self.env, name=f"{b.name}.fabric_inbox"),
+        self._peer = {a.name: b.name, b.name: a.name}
+        self._inbox: Dict[str, Mailbox] = {
+            a.name: Mailbox(self.env, name=f"{a.name}.fabric_inbox"),
+            b.name: Mailbox(self.env, name=f"{b.name}.fabric_inbox"),
         }
         self._mrs: Dict[int, MemoryRegion] = {}
         fx = self.env._faults
@@ -350,17 +362,24 @@ class RdmaChannel(FabricChannel):
         return True
 
     def send(self, msg: Message) -> Generator[Event, None, None]:
-        qp = self.qps[msg.src]
-        peer = self.qps[self.peer_of(msg.src)]
-        peer.post_recv(wr_id=msg.tag)
-        yield from qp.post_send(payload=msg.payload, nbytes=msg.nbytes, wr_id=msg.tag,
-                                trace=msg.meta.get("trace") if msg.meta else None)
-        # Drain the receiver-side completion and hand the message up.
-        yield peer.recv_cq.poll()
-        yield self._inbox[peer.device.node.name].put(msg)
+        src = msg.src
+        qp = self.qps[src]
+        peer = self.qps[self._peer[src]]
+        peer.post_recv(msg.tag)
+        comp = yield from qp.post_send(
+            payload=msg.payload, nbytes=msg.nbytes, wr_id=msg.tag,
+            trace=msg.meta.get("trace") if msg.meta else None)
+        # Progress engine: reap both completions (no process polls the
+        # CQs of a channel's QPs) and hand the message up.
+        qp.send_cq.reap(comp)
+        peer.recv_cq.poll_nowait()
+        self._inbox[peer.device.node.name].put_nowait(msg)
 
     def recv(self, name: str):
         return self._inbox[name].get()
+
+    def listen(self, name: str, fn) -> Listener:
+        return self._inbox[name].listen(fn)
 
     def register(self, name, length, buffer=None, valid_until=None):
         if name not in self.nodes:
@@ -383,15 +402,17 @@ class RdmaChannel(FabricChannel):
         qp = self.qps[initiator]
         comp = yield from qp.rdma_read(region.addr + offset, region.rkey, nbytes,
                                        trace=trace)
+        qp.send_cq.reap(comp)
         return comp.payload
 
     def rma_write(self, initiator, region, payload=None, nbytes=None, offset=0,
                   trace=None):
         qp = self.qps[initiator]
-        yield from qp.rdma_write(
+        comp = yield from qp.rdma_write(
             region.addr + offset, region.rkey, payload=payload, nbytes=nbytes,
             trace=trace,
         )
+        qp.send_cq.reap(comp)
 
 
 class FabricEndpoint:

@@ -208,11 +208,27 @@ class CompletionQueue:
 
     def push(self, completion: Completion) -> None:
         """Add a completion (never blocks)."""
-        self._store.put(completion)
+        self._store.put_nowait(completion)
 
     def poll(self):
         """Event yielding the next completion."""
         return self._store.get()
+
+    def poll_nowait(self) -> Optional[Completion]:
+        """Take the next completion now, or None when the queue is empty."""
+        store = self._store
+        return store.get_nowait() if store.items else None
+
+    def reap(self, completion: Completion) -> None:
+        """Drop ``completion`` if it is the newest entry still queued.
+
+        A progress engine reaps the completion of the operation it just
+        finished: the verbs below push it last, with no yield after.  A
+        completion already handed to a parked poller is not queued.
+        """
+        items = self._store.items
+        if items and items[-1] is completion:
+            items.pop()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -300,7 +316,7 @@ class QueuePair:
         """Post a receive work request (buffer optional in virtual mode)."""
         if self.error is not None:
             raise RdmaError(f"QP {self.qp_num} is in the error state: {self.error}")
-        self._recv_queue.put((wr_id, mr))
+        self._recv_queue.put_nowait((wr_id, mr))
 
     def post_send(
         self,
@@ -323,7 +339,8 @@ class QueuePair:
         yield self.device.node.cpu.execute(costs.tx_cpu_per_op)
         if span is not None:
             span.finish()
-        yield from self._wire(remote, size, trace=trace, stage="rdma.eager")
+        yield from self.device.qp_wire(remote.device, size, trace=trace,
+                                       stage="rdma.eager")
         if self.error is not None or remote.error is not None:
             # The QP broke while the message was on the wire.
             raise RdmaError(
@@ -335,7 +352,11 @@ class QueuePair:
         # layer's job; we block until one is available, like an RC QP
         # with RNR retries).
         span = trace.child("rdma.recv", node=remote.device.node.name, nbytes=size) if trace is not None else None
-        wr_id_recv, mr = yield remote._recv_queue.get()
+        rq = remote._recv_queue
+        if rq.items:
+            wr_id_recv, mr = rq.get_nowait()
+        else:
+            wr_id_recv, mr = yield rq.get()
         if mr is not None and isinstance(payload, (bytes, bytearray, memoryview)):
             mr.write_bytes(mr.addr, payload)
         yield remote.device.node.cpu.execute(costs.rx_cpu_per_op)
@@ -368,7 +389,8 @@ class QueuePair:
         yield self.device.node.cpu.execute(self.device.costs.tx_cpu_per_op)
         if span is not None:
             span.finish()
-        yield from self._wire(remote, size, trace=trace, stage="rdma.dma")
+        yield from self.device.qp_wire(remote.device, size, trace=trace,
+                                       stage="rdma.dma")
 
         if payload is not None:
             mr.write_bytes(remote_addr, payload)
@@ -398,7 +420,8 @@ class QueuePair:
         if span is not None:
             span.finish()
         # Request travels out (small), data travels back (nbytes).
-        yield from self._wire(remote, 0, trace=trace, stage="rdma.dma")
+        yield from self.device.qp_wire(remote.device, 0, trace=trace,
+                                       stage="rdma.dma")
         yield from remote.device.qp_wire(self.device, nbytes, rendezvous_exempt=True,
                                          trace=trace, stage="rdma.dma")
 
@@ -441,12 +464,6 @@ class QueuePair:
         if not (mr.flags & needed):
             raise AccessViolation(f"MR lacks {needed.name} permission")
         return mr
-
-    def _wire(
-        self, remote: "QueuePair", size: int,
-        trace: Any = None, stage: str = "net.wire",
-    ) -> Generator[Event, None, None]:
-        yield from self.device.qp_wire(remote.device, size, trace=trace, stage=stage)
 
 
 class RdmaDevice:

@@ -33,7 +33,7 @@ from repro.net.message import Message
 from repro.sim.core import Environment, Event
 from repro.sim.monitor import RateMeter
 from repro.sim.queues import FifoServer
-from repro.sim.resources import Store
+from repro.sim.resources import Listener, Mailbox, Store
 
 __all__ = ["TcpConnection", "TcpStack"]
 
@@ -60,9 +60,9 @@ class TcpConnection:
             b.node.name: FifoServer(env, name=f"{b.node.name}.tcp_stream"),
         }
         #: Per-endpoint inbox of delivered messages.
-        self.inbox: Dict[str, Store] = {
-            a.node.name: Store(env, name=f"{a.node.name}.tcp_inbox"),
-            b.node.name: Store(env, name=f"{b.node.name}.tcp_inbox"),
+        self.inbox: Dict[str, Mailbox] = {
+            a.node.name: Mailbox(env, name=f"{a.node.name}.tcp_inbox"),
+            b.node.name: Mailbox(env, name=f"{b.node.name}.tcp_inbox"),
         }
         #: Separate inbox for provider-internal messages (kinds starting
         #: with "_"), so RMA emulation never races application receives.
@@ -197,15 +197,23 @@ class TcpConnection:
         src.sent.record(size)
         dst.received.record(size)
         box = self.internal if msg.kind.startswith("_") else self.inbox
-        yield box[dst_name].put(msg)
+        box[dst_name].put_nowait(msg)
 
     def recv(self, name: str):
         """Event yielding the next message delivered to endpoint ``name``."""
         return self.inbox[name].get()
 
-    def recv_internal(self, name: str):
-        """Event yielding the next provider-internal message for ``name``."""
-        return self.internal[name].get()
+    def listen(self, name: str, fn) -> Listener:
+        """Hand every message delivered to ``name`` to ``fn(msg)``."""
+        return self.inbox[name].listen(fn)
+
+    def take_internal(self, name: str) -> Message:
+        """Consume the provider-internal message :meth:`send` just delivered.
+
+        The RMA emulation's progress engine handles it on arrival, so no
+        receiver ever parks on the internal inbox.
+        """
+        return self.internal[name].get_nowait()
 
     def reset(self, duration: float) -> None:
         """Injected reset: sends fail for ``duration`` sim-seconds."""

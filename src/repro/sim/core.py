@@ -260,6 +260,17 @@ class Initialize(Event):
                   env._eid if ts is None else ts(env._eid), self))
 
 
+class _Started:
+    """Stand-in for a processed :class:`Initialize` (inline process start)."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_STARTED = _Started()
+
+
 class _InterruptEvent(Event):
     """Urgent event delivering an :class:`Interrupt` into a process."""
 
@@ -304,6 +315,7 @@ class Process(Event):
         env: "Environment",
         generator: Generator[Event, Any, Any],
         name: Optional[str] = None,
+        inline: bool = False,
     ) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
@@ -316,7 +328,11 @@ class Process(Event):
         #: fresh bound method per suspension is a measurable allocation in
         #: long runs.
         self._rcb = self._resume
-        Initialize(env, self)
+        if inline:
+            # See Environment.process_inline: run the first step now.
+            self._resume(_STARTED)  # type: ignore[arg-type]
+        else:
+            Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
@@ -666,6 +682,28 @@ class Environment:
     def process(self, generator: Generator[Event, Any, Any], name: Optional[str] = None) -> Process:
         """Start ``generator`` as a new process."""
         return Process(self, generator, name=name)
+
+    def process_inline(self, generator: Generator[Event, Any, Any],
+                       name: Optional[str] = None) -> Process:
+        """Start ``generator`` and run its first step now, with no event.
+
+        :meth:`process` schedules an urgent :class:`Initialize` at the
+        current instant.  When the caller is a kernel callback and that
+        Initialize would be the next event dispatched — a
+        :class:`~repro.sim.resources.Mailbox` delivery starting request
+        handlers — running the first step here is the same schedule, one
+        event cheaper.  Several calls from one callback keep their
+        Initialize order, since urgent events pushed by earlier first
+        steps would have run after all the Initializes anyway.
+
+        Falls back to :meth:`process` while a trace hook is subscribed
+        (the observed stream keeps its Initialize events, as with
+        :meth:`Event._succeed_inline`) and when called from inside a
+        running process.
+        """
+        if self._trace_hook is not None or self._active is not None:
+            return self.process(generator, name)
+        return Process(self, generator, name=name, inline=True)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Wait for every event in ``events``."""

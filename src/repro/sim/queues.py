@@ -333,11 +333,23 @@ class BandwidthPipe:
             # Contention arrived while someone coalesced: claw back the
             # untransmitted tail so we only wait for the chunk in flight.
             self._revoke()
+        srv = self._server
+        bw = self.bandwidth
+        chunk = self.chunk_bytes
+        if nbytes <= chunk:
+            # One chunk: a coalesced reservation would be this very serve
+            # (same float additions) and can never be revoked, so skip its
+            # bookkeeping and keep only the accounting.
+            if (self._inflight == 1 and self.coalesce and srv._stats is None
+                    and self.env._wait_tracer is None):
+                self.coalesced_ops += 1
+            try:
+                yield srv.serve(nbytes / bw)
+            finally:
+                self._inflight -= 1
+            return
         try:
             remaining = nbytes
-            srv = self._server
-            bw = self.bandwidth
-            chunk = self.chunk_bytes
             # Loop-invariant coalescing eligibility (only ``_inflight``
             # changes mid-transfer; a telemetry recorder or wait tracer is
             # attached between runs, never mid-transfer).  With a wait
@@ -427,28 +439,38 @@ class BandwidthPipe:
         """Give the server back every chunk not yet in flight.
 
         Under chunked reservation the owner would, at this instant, have
-        completed ``floor(elapsed / chunk_time)`` chunks and hold one more
-        in flight; everything beyond that is returned.  Returns the number
-        of unsent bytes (0 if only the tail remained — nothing to revoke).
+        completed every chunk that ended before ``now`` and hold the next
+        one in flight; everything beyond that is returned.  The chunk ends
+        are the running sums the reservation itself accumulated (``start +
+        chunk_time + chunk_time + ...``), so the rebuilt ``free_at`` never
+        lies before ``now``.  (Dividing the elapsed time by ``chunk_time``
+        instead can land a few ulps short of a boundary and rebuild
+        ``free_at`` in the past.)  A chunk ending exactly at ``now`` counts
+        as finished, with the owner's next chunk in flight: a chunked run
+        orders it so whenever the arrival's wake-up was scheduled after
+        the owner's previous chunk boundary, as when it comes off an
+        upstream pipe of the same rate.  Returns the number of unsent
+        bytes (0 if only the tail remained — nothing to revoke).
         """
         srv = self._server
         now = self.env._now
-        start = self._co_start
         nbytes = self._co_bytes
         chunk = self.chunk_bytes
         chunk_time = chunk / self.bandwidth
-        elapsed = now - start
-        committed = 1 if elapsed < 0 else int(elapsed / chunk_time) + 1
         total_chunks = ceil(nbytes / chunk)
-        if committed >= total_chunks:
-            return 0  # the final chunk/tail is already in flight
         # Rebuild the state a chunked run would have after ``committed``
         # chunks: same additions, same order — exact, not approximate.
-        new_done = start
+        new_done = self._co_start
         busy = self._co_busy0
-        for _ in range(committed):
+        committed = 0
+        while committed < total_chunks - 1:
             new_done += chunk_time
             busy += chunk_time
+            committed += 1
+            if new_done > now:
+                break
+        else:
+            return 0  # the final chunk/tail is already in flight
         srv._free_at = new_done
         srv.busy_time = busy
         srv.ops -= total_chunks - committed

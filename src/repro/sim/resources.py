@@ -8,6 +8,8 @@ These are the queueing building blocks for the hardware models:
   ``(priority, fifo)`` order; used for QoS experiments.
 * :class:`Store` — an unbounded/bounded FIFO of Python objects (message
   queues, completion queues).
+* :class:`Mailbox` — a message inbox that hands arrivals to registered
+  listeners, one kernel event per same-instant batch.
 * :class:`Container` — a continuous level (bytes of buffer pool, tokens).
 
 All request/put/get operations return events.  Requests support use as
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Deque, List, Tuple
+from typing import Any, Callable, Deque, List, Tuple
 
 from repro.sim.core import PENDING, Environment, Event, SimulationError
 
@@ -37,6 +39,8 @@ __all__ = [
     "StorePut",
     "StoreGet",
     "Store",
+    "Listener",
+    "Mailbox",
     "ContainerPut",
     "ContainerGet",
     "Container",
@@ -306,6 +310,38 @@ class Store:
         """Take the oldest item; fires when one is available."""
         return StoreGet(self)
 
+    def put_nowait(self, item: Any) -> None:
+        """Offer ``item`` without allocating an event (the store must have room).
+
+        Same outcome as an immediately-satisfiable :meth:`put`: a parked
+        getter is woken with the item, otherwise the item is queued.
+        """
+        if self._getters:
+            getter = self._getters.popleft()
+            wt = self.env._wait_tracer
+            if wt is not None:
+                wt.end_block(getter)
+            getter.succeed(item)
+        elif len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            raise SimulationError(f"put_nowait on full store {self.name!r}")
+
+    def get_nowait(self) -> Any:
+        """Take the oldest item without allocating an event (must not be empty).
+
+        Same outcome as an immediately-satisfiable :meth:`get`.
+        """
+        item = self.items.popleft()
+        if self._putters and len(self.items) < self.capacity:
+            putter = self._putters.popleft()
+            wt = self.env._wait_tracer
+            if wt is not None:
+                wt.end_block(putter)
+            self.items.append(putter.item)
+            putter.succeed()
+        return item
+
     # -- internals ----------------------------------------------------------
     # Immediately-satisfiable puts/gets are born processed (no kernel
     # event): the freshly-constructed event has no callbacks yet, so the
@@ -313,15 +349,8 @@ class Store:
     # Parked counterparts woken here (``putter``/``getter``) *do* have a
     # waiter attached and are scheduled normally via ``succeed``.
     def _do_put(self, event: StorePut) -> None:
-        if self._getters:
-            getter = self._getters.popleft()
-            wt = self.env._wait_tracer
-            if wt is not None:
-                wt.end_block(getter)
-            getter.succeed(event.item)
-            event._succeed_inline()
-        elif len(self.items) < self.capacity:
-            self.items.append(event.item)
+        if self._getters or len(self.items) < self.capacity:
+            self.put_nowait(event.item)
             event._succeed_inline()
         else:
             wt = self.env._wait_tracer
@@ -352,6 +381,90 @@ class Store:
             if wt is not None:
                 wt.begin_block(event, self.name)
             self._getters.append(event)
+
+
+class Listener:
+    """A consumer registered on a :class:`Mailbox`; see :meth:`Mailbox.listen`."""
+
+    __slots__ = ("mailbox", "fn")
+
+    def __init__(self, mailbox: "Mailbox", fn: Callable[[Any], None]) -> None:
+        self.mailbox = mailbox
+        self.fn = fn
+
+    @property
+    def is_alive(self) -> bool:
+        """True until :meth:`close`."""
+        return self in self.mailbox._listeners
+
+    def close(self) -> None:
+        """Stop delivery to this consumer; later arrivals queue in the mailbox."""
+        try:
+            self.mailbox._listeners.remove(self)
+        except ValueError:
+            pass
+
+
+class Mailbox(Store):
+    """An unbounded message inbox that hands arrivals to listeners.
+
+    With no listener it is a plain :class:`Store`: ``get()`` parks until a
+    message arrives.  Once a listener is registered, an arrival costs no
+    receiving process at all: the first arrival of an instant schedules one
+    delivery event, where a parked receiver's wake-up would sit, and that
+    event hands every message queued by then to the listeners in arrival
+    order (round-robin when several listen).  Arrivals during the delivery
+    itself start the next batch.  A listener runs inside the kernel
+    callback, so a request handler it starts with
+    :meth:`~repro.sim.core.Environment.process_inline` takes its first step
+    exactly where a receive loop's freshly spawned handler would have.
+    See DESIGN.md §9.
+    """
+
+    def __init__(self, env: Environment, name: "str | None" = None) -> None:
+        super().__init__(env, name=name)
+        self._listeners: List[Listener] = []
+        self._delivery_due = False
+        # One delivery event, rescheduled per batch: at most one is due at
+        # a time and nothing outside this class can wait on it.
+        self._wake = Event(env)
+        self._wake._value = None
+        self._wake_callbacks = [self._deliver]
+
+    def listen(self, fn: Callable[[Any], None]) -> Listener:
+        """Call ``fn(message)`` for every arrival until the listener closes."""
+        listener = Listener(self, fn)
+        self._listeners.append(listener)
+        if self.items and not self._delivery_due:
+            self._schedule_delivery()
+        return listener
+
+    def put_nowait(self, item: Any) -> None:
+        # ``put()`` lands here too (Store._do_put): the mailbox never fills.
+        if not self._listeners:
+            super().put_nowait(item)
+            return
+        self.items.append(item)
+        if not self._delivery_due:
+            self._schedule_delivery()
+
+    def _schedule_delivery(self) -> None:
+        self._delivery_due = True
+        wake = self._wake
+        wake.callbacks = self._wake_callbacks
+        self.env.schedule(wake)
+
+    def _deliver(self, _event: Event) -> None:
+        self._delivery_due = False
+        items = self.items
+        listeners = self._listeners
+        for _ in range(len(items)):
+            if not listeners:
+                break  # the last listener closed mid-batch: the rest queue
+            listener = listeners[0]
+            if len(listeners) > 1:
+                listeners.append(listeners.pop(0))
+            listener.fn(items.popleft())
 
 
 class ContainerPut(Event):

@@ -28,7 +28,8 @@ from repro.hw.platform import ComputeNode, Node
 from repro.hw.specs import SPDK_PATH, US, StoragePathCosts
 from repro.net.fabric import FabricChannel, RemoteRegion
 from repro.net.message import Message
-from repro.sim.core import Environment, Event, Process
+from repro.sim.core import Environment, Event
+from repro.sim.resources import Listener
 from repro.storage.block import BlockDevice
 from repro.storage.context import JobThread
 
@@ -115,19 +116,20 @@ class NvmfTarget:
         self.commands_served = 0
         self._loops: list = []
 
-    def serve(self, channel: FabricChannel) -> Process:
+    def serve(self, channel: FabricChannel) -> Listener:
         """Start servicing command capsules arriving on ``channel``."""
-        proc = self.env.process(self._serve_loop(channel), name="nvmf-target")
-        self._loops.append(proc)
-        return proc
+        start = self.env.process_inline
+        handle = self._handle
 
-    def _serve_loop(self, channel: FabricChannel):
-        name = self.node.name
-        while True:
-            msg = yield channel.recv(name)
+        def on_message(msg: Message) -> None:
             if msg.kind == "nvmf.shutdown":
-                return
-            self.env.process(self._handle(channel, msg), name="nvmf-cmd")
+                listener.close()
+            else:
+                start(handle(channel, msg), "nvmf-cmd")
+
+        listener = channel.listen(self.node.name, on_message)
+        self._loops.append(listener)
+        return listener
 
     def _handle(self, channel: FabricChannel, msg: Message):
         cmd = msg.payload
@@ -187,7 +189,7 @@ class NvmfInitiator:
         self.data_mode = bool(data_mode)
         self.target_name = channel.peer_of(node.name)
         self._pending: Dict[int, Event] = {}
-        self._demux: Optional[Process] = None
+        self._demux: Optional[Listener] = None
         self._threads = 0
         # Performance mode: one pre-registered window reused by every
         # command (real initiators pre-register their buffer pools).
@@ -196,18 +198,15 @@ class NvmfInitiator:
             self._window = channel.register(node.name, io_window_bytes)
 
     def start(self) -> "NvmfInitiator":
-        """Spawn the completion demultiplexer; call once before I/O."""
+        """Attach the completion demultiplexer; call once before I/O."""
         if self._demux is None:
-            self._demux = self.env.process(self._demux_loop(), name="nvmf-demux")
+            self._demux = self.channel.listen(self.node.name, self._on_completion)
         return self
 
-    def _demux_loop(self):
-        name = self.node.name
-        while True:
-            msg = yield self.channel.recv(name)
-            waiter = self._pending.pop(msg.tag, None)
-            if waiter is not None:
-                waiter.succeed(msg)
+    def _on_completion(self, msg: Message) -> None:
+        waiter = self._pending.pop(msg.tag, None)
+        if waiter is not None:
+            waiter.succeed(msg)
 
     def new_context(self, name: Optional[str] = None) -> JobThread:
         """Create one submission reactor thread."""

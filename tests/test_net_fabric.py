@@ -70,6 +70,48 @@ def test_send_recv_roundtrip(provider):
     assert got == [("req", 9)]
 
 
+@pytest.mark.parametrize("provider", ["ucx+tcp", "ucx+rc", "ofi+verbs;ofi_rxm"])
+def test_listener_receives_in_arrival_order(provider):
+    env, top, ch = setup(provider)
+    got = []
+    ch.listen("storage", lambda msg: got.append((env.now, msg.tag)))
+
+    def client(env, tag):
+        yield from ch.send(Message(src="host", dst="storage", kind="req", tag=tag,
+                                   nbytes=256))
+
+    for tag in (1, 2, 3):
+        env.process(client(env, tag))
+    env.run()
+    assert [tag for _, tag in got] == [1, 2, 3]
+    assert all(t > 0 for t, _ in got)
+
+
+@pytest.mark.parametrize("provider", ["ucx+rc", "ofi+verbs;ofi_rxm"])
+def test_rdma_channel_reaps_its_completions(provider):
+    # Nothing polls the CQs of a channel's QPs, so the channel itself
+    # must drain every completion it causes: depth stays at zero however
+    # many SENDs, WRITEs and READs go through.
+    env, top, ch = setup(provider)
+    region = ch.register("storage", 64 * KIB)
+    ch.listen("storage", lambda msg: None)
+    n = 40
+
+    def client(env):
+        for i in range(n):
+            yield from ch.send(Message(src="host", dst="storage", kind="req",
+                                       tag=i, nbytes=256))
+            yield from ch.rma_write("host", region, nbytes=4 * KIB)
+            yield from ch.rma_read("host", region, 4 * KIB)
+
+    env.process(client(env))
+    env.run()
+    for qp in ch.qps.values():
+        assert len(qp.send_cq) == 0
+        assert len(qp.recv_cq) == 0
+    assert top.client.switch.port("host").bytes_sent() > n * 4 * KIB
+
+
 @pytest.mark.parametrize("provider", ["ucx+tcp", "ucx+rc"])
 def test_register_returns_descriptor(provider):
     env, top, ch = setup(provider)

@@ -29,15 +29,23 @@ from repro.sim.resources import PriorityResource, Resource
 # ---------------------------------------------------------------------------
 
 def _run_schedule(jobs, coalesce, bandwidth=10e9, latency=2e-6,
-                  chunk_bytes=64 * 1024):
-    """Run ``[(start, nbytes), ...]`` through one pipe; return outcomes."""
+                  chunk_bytes=64 * 1024, wake_lead=None):
+    """Run ``[(start, nbytes), ...]`` through one pipe; return outcomes.
+
+    With ``wake_lead``, each mover's final wake-up is scheduled that long
+    before its start instead of at time zero (it matters only for ties).
+    """
     env = Environment()
     pipe = BandwidthPipe(env, bandwidth=bandwidth, latency=latency,
                          chunk_bytes=chunk_bytes, coalesce=coalesce)
     done = {}
 
     def mover(env, i, start, nbytes):
-        yield env.timeout(start)
+        if wake_lead is None:
+            yield env.timeout(start)
+        else:
+            yield env.timeout_until(start - wake_lead)
+            yield env.timeout_until(start)
         yield from pipe.transfer(nbytes)
         done[i] = env.now
 
@@ -86,6 +94,82 @@ def test_coalesced_contended_bit_identical_to_chunked():
         assert a["bytes_moved"] == b["bytes_moved"]
         assert a["busy_time"] == b["busy_time"]
         assert a["utilization"] == b["utilization"]
+    # Arrivals on a resident's chunk boundary, or a few ulps either side:
+    # ``start + k * chunk_time`` rounds differently from the running sum
+    # the reservation accumulated, and the running sum itself is an exact
+    # tie.  These are the schedules pipelines of equal-rate pipes produce;
+    # as there, the arrival's wake-up is scheduled within the last chunk
+    # time, after the owner's chunk in the chunked run.
+    chunk = 64 * 1024
+    for seed in range(200):
+        rng = random.Random(seed)
+        bandwidth = rng.choice([10e9, 12.5e9, 25e9])
+        chunk_time = chunk / bandwidth
+        start = rng.uniform(0.01, 0.05)
+        n_chunks = rng.randrange(4, 40)
+        k = rng.randrange(1, n_chunks - 1)
+        boundary = start
+        for _ in range(k):
+            boundary += chunk_time
+        arrival = rng.choice([start + k * chunk_time,
+                              start + (k * chunk) / bandwidth, boundary])
+        jobs = [(start, (n_chunks - 1) * chunk + rng.randrange(1, chunk + 1)),
+                (arrival, rng.randrange(1, 2 * chunk))]
+        a = _run_schedule(jobs, coalesce=True, bandwidth=bandwidth, latency=0.0,
+                          wake_lead=chunk_time / 2)
+        b = _run_schedule(jobs, coalesce=False, bandwidth=bandwidth, latency=0.0,
+                          wake_lead=chunk_time / 2)
+        assert a["done"] == b["done"], f"boundary seed {seed}"
+        assert a["busy_time"] == b["busy_time"], f"boundary seed {seed}"
+
+
+def test_revocation_at_a_chunk_boundary_stays_in_the_future():
+    # The reservation that crashed the DPU fairness ablation with
+    # ``negative delay -6.9e-18``: 1.1 MiB (17 full chunks and a tail)
+    # coalescing on a 100 Gbps port when a small message arrives two ulps
+    # after the 17th chunk boundary.  ``elapsed / chunk_time`` rounds to
+    # 16.99999..., so the rollback used to rebuild ``free_at`` at that
+    # boundary — in the past — and revoke.  The tail is the chunk in
+    # flight, so there is nothing to revoke: the message goes after it,
+    # as in the chunked run.
+    start = 0.03127850333257139
+    arrival = 0.03136763229257138
+    jobs = [(start, 1127569), (arrival, 4096)]
+    a = _run_schedule(jobs, coalesce=True, bandwidth=12.5e9, latency=0.0)
+    b = _run_schedule(jobs, coalesce=False, bandwidth=12.5e9, latency=0.0)
+    assert a["revoked_ops"] == 0
+    assert a["done"] == b["done"]
+    assert a["busy_time"] == b["busy_time"]
+    assert a["done"][1] == a["done"][0] + 4096 / 12.5e9
+
+
+def test_single_chunk_transfers_take_one_plain_reservation():
+    # A transfer of at most one chunk is served by one FifoServer
+    # reservation whether or not it is alone; outcomes match the chunked
+    # reference and the coalescing count still records the lone ones.
+    for seed in range(12):
+        rng = random.Random(seed)
+        jobs = [(rng.uniform(0.0, 2e-5), rng.randrange(1, 64 * 1024 + 1))
+                for _ in range(24)]
+        a = _run_schedule(jobs, coalesce=True)
+        b = _run_schedule(jobs, coalesce=False)
+        assert a["done"] == b["done"], f"seed {seed}"
+        assert a["busy_time"] == b["busy_time"]
+        assert a["events"] == b["events"]
+        assert a["revoked_ops"] == 0
+        assert 0 < a["coalesced_ops"] < len(jobs)
+    env = Environment()
+    pipe = BandwidthPipe(env, bandwidth=10e9, chunk_bytes=64 * 1024)
+
+    def mover(env):
+        yield from pipe.transfer(64 * 1024)
+        yield from pipe.transfer(100)
+
+    env.process(mover(env))
+    env.run()
+    assert pipe._server.ops == 2
+    assert pipe.coalesced_ops == 2
+    assert pipe._co_gate is None
 
 
 def test_coalesced_contention_triggers_revocation_sometimes():

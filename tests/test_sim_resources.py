@@ -258,6 +258,34 @@ def test_store_capacity_blocks_put():
     assert times == [(0, 3)]
 
 
+def test_store_nowait_ops_match_immediate_put_get():
+    env = Environment()
+    store = Store(env, capacity=1)
+    got, admitted = [], []
+
+    def getter(env):
+        got.append((yield store.get()))
+
+    def putter(env):
+        yield store.put("b")  # parks: the store is full
+        admitted.append(env.now)
+
+    env.process(getter(env))
+    env.run()
+    store.put_nowait("a")  # wakes the parked getter
+    env.run()
+    assert got == ["a"]
+    store.put_nowait("c")
+    with pytest.raises(SimulationError):
+        store.put_nowait("overflow")
+    env.process(putter(env))
+    env.run(until=1.0)
+    assert store.get_nowait() == "c"  # admits the parked putter
+    env.run()
+    assert admitted == [1.0]
+    assert list(store.items) == ["b"]
+
+
 def test_store_len():
     env = Environment()
     store = Store(env)
