@@ -54,6 +54,16 @@ class CpuPool:
         """Run ``x86_cost`` seconds of baseline work on the earliest-free core."""
         return self._pool.execute(x86_cost * self.factor)
 
+    def execute_then(self, x86_cost: float, *delays: float) -> Timeout:
+        """:meth:`execute`, then the caller's own pure sleeps, as one event.
+
+        Transports fold the wire's fixed delays into their post this way;
+        the wait tracer books the delays as nobody's latency (see
+        :meth:`repro.sim.queues.PooledServer.execute_then`).
+        """
+        return self._pool.execute_then(x86_cost * self.factor, *delays,
+                                       latency=False)
+
     def scaled(self, x86_cost: float) -> float:
         """The actual duration this pool needs for ``x86_cost`` of work."""
         return x86_cost * self.factor

@@ -10,13 +10,13 @@ DPU is what multi-tenant experiments stress).
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Dict, Generator, Optional
 
 from repro.hw.specs import LinkSpec
-from repro.sim.core import Environment, Event
+from repro.sim.core import Environment, Event, Timeout
 from repro.sim.queues import BandwidthPipe
 
-__all__ = ["Port", "DuplexLink", "Switch"]
+__all__ = ["Port", "DuplexLink", "Route", "Switch"]
 
 
 class Port:
@@ -47,10 +47,10 @@ class Port:
 class Switch:
     """A store-and-forward switch connecting named node ports.
 
-    ``transmit(src, dst, nbytes)`` moves payload bytes across ``src``'s TX
-    pipe and ``dst``'s RX pipe, adding the one-way propagation delay once.
-    The payload is scaled by ``1/goodput_efficiency`` by the *caller*
-    (transport layer) so protocol overhead shows up as extra wire bytes.
+    A crossing moves payload bytes across ``src``'s TX pipe and ``dst``'s
+    RX pipe, adding the one-way propagation delay once.  The payload is
+    scaled by ``1/goodput_efficiency`` by the *caller* (transport layer)
+    so protocol overhead shows up as extra wire bytes.
     """
 
     def __init__(self, env: Environment, spec: LinkSpec) -> None:
@@ -72,34 +72,60 @@ class Switch:
         except KeyError:
             raise KeyError(f"node {name!r} is not attached to the switch") from None
 
+    def route(self, src: str, dst: str) -> "Route":
+        """The crossing from ``src`` to ``dst``, for a transport to take inline.
+
+        Transports resolve it once per connection, fold the propagation
+        delay into their last reservation before the wire and move the
+        bytes through ``route.tx`` and ``route.rx`` in their own generator
+        frame.  Loopback never touches the wire: no pipes, no propagation.
+        """
+        if src == dst:
+            return Route(0.0, None, None)
+        return Route(self.spec.propagation, self.port(src).tx, self.port(dst).rx)
+
     def transmit(
-        self, src: str, dst: str, wire_bytes: int, pre_delay: float = 0.0
+        self, src: str, dst: str, wire_bytes: int
     ) -> Generator[Event, None, None]:
         """Move ``wire_bytes`` from ``src`` to ``dst`` (generator; yield from).
 
-        ``pre_delay`` lets transports merge a fixed stack latency they
-        would otherwise sleep *immediately before* the crossing into the
-        propagation event: one kernel event instead of two, firing at the
-        bit-identical instant ``(now + pre_delay) + propagation`` the
-        chained sleeps would have reached.
+        Sleeps the one-way propagation, then crosses ``src``'s TX pipe and
+        ``dst``'s RX pipe.  The transports cross through :meth:`route`
+        instead, with the propagation folded into their own last event.
         """
-        env = self.env
-        if src == dst:
-            if pre_delay:
-                yield env.timeout(pre_delay)
+        route = self.route(src, dst)
+        if route.tx is None:
             return  # loopback never touches the wire
-        sport = self.port(src)
-        dport = self.port(dst)
-        propagation = self.spec.propagation
-        if pre_delay:
-            yield env.timeout_until((env.now + pre_delay) + propagation)
-        elif propagation:
+        if route.propagation:
             # Zero-propagation links (ablations, loop-local fabrics) skip
-            # the timeout(0) event entirely — same simulated time, one
-            # fewer heap operation per crossing.
-            yield env.timeout(propagation)
-        yield from sport.tx.transfer(wire_bytes)
-        yield from dport.rx.transfer(wire_bytes)
+            # the timeout(0) event entirely.
+            yield self.env.timeout(route.propagation)
+        yield from route.tx.transfer(wire_bytes)
+        yield from route.rx.transfer(wire_bytes)
+
+
+class Route:
+    """One direction across the switch: propagation, TX pipe, RX pipe."""
+
+    __slots__ = ("propagation", "tx", "rx")
+
+    def __init__(self, propagation: float, tx: Optional[BandwidthPipe],
+                 rx: Optional[BandwidthPipe]) -> None:
+        self.propagation = propagation
+        self.tx = tx
+        self.rx = rx
+
+    def sleep(self, env: Environment, pre: float) -> Optional[Timeout]:
+        """The crossing's pure delays as one sleep: ``pre``, then propagation.
+
+        Fires at ``(now + pre) + propagation``, the instant the chained
+        sleeps would reach; None when both are zero (no event at all).
+        """
+        if pre:
+            return env.timeout_until((env.now + pre) + self.propagation)
+        if self.propagation:
+            return env.timeout(self.propagation)
+        return None
 
 
 class DuplexLink:

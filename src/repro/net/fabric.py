@@ -24,7 +24,7 @@ from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.hw.platform import ComputeNode
 from repro.hw.specs import RDMA_COSTS, TCP_COSTS, TransportCosts
-from repro.net.message import Message
+from repro.net.message import Message, payload_nbytes
 from repro.net.rdma import (
     AccessFlags,
     MemoryRegion,
@@ -362,18 +362,15 @@ class RdmaChannel(FabricChannel):
         return True
 
     def send(self, msg: Message) -> Generator[Event, None, None]:
+        # The provider's progress engine consumes the verbs bookkeeping
+        # where it arises, so the SEND posts no RECV and makes no
+        # completions; the message goes straight to the peer's inbox.
+        # Returned, not wrapped: the QP's generator is the only frame.
         src = msg.src
-        qp = self.qps[src]
-        peer = self.qps[self._peer[src]]
-        peer.post_recv(msg.tag)
-        comp = yield from qp.post_send(
-            payload=msg.payload, nbytes=msg.nbytes, wr_id=msg.tag,
-            trace=msg.meta.get("trace") if msg.meta else None)
-        # Progress engine: reap both completions (no process polls the
-        # CQs of a channel's QPs) and hand the message up.
-        qp.send_cq.reap(comp)
-        peer.recv_cq.poll_nowait()
-        self._inbox[peer.device.node.name].put_nowait(msg)
+        return self.qps[src]._send(
+            msg, msg.nbytes, msg.tag,
+            msg.meta.get("trace") if msg.meta else None,
+            self._inbox[self._peer[src]])
 
     def recv(self, name: str):
         return self._inbox[name].get()
@@ -399,20 +396,14 @@ class RdmaChannel(FabricChannel):
             mr.pd.deregister_mr(mr)
 
     def rma_read(self, initiator, region, nbytes, offset=0, trace=None):
-        qp = self.qps[initiator]
-        comp = yield from qp.rdma_read(region.addr + offset, region.rkey, nbytes,
-                                       trace=trace)
-        qp.send_cq.reap(comp)
-        return comp.payload
+        return self.qps[initiator]._read(region.addr + offset, region.rkey,
+                                         nbytes, 0, trace, False)
 
     def rma_write(self, initiator, region, payload=None, nbytes=None, offset=0,
                   trace=None):
-        qp = self.qps[initiator]
-        comp = yield from qp.rdma_write(
-            region.addr + offset, region.rkey, payload=payload, nbytes=nbytes,
-            trace=trace,
-        )
-        qp.send_cq.reap(comp)
+        size = nbytes if nbytes is not None else payload_nbytes(payload)
+        return self.qps[initiator]._write(region.addr + offset, region.rkey,
+                                          payload, size, 0, trace, False)
 
 
 class FabricEndpoint:

@@ -22,16 +22,20 @@ one-sided ops cost the target **nothing**; two-sided delivery charges the
 target ``rx_cpu_per_op`` for its CQ poll.  Messages above
 ``rendezvous_threshold`` pay one extra control round-trip (RTS/CTS) —
 the rendezvous protocol §3.2 uses to amortize per-message overhead on
-large sequential I/O.
+large sequential I/O.  The wire's pure delays after the post (stack
+latency, round trip, propagation) ride the post's CPU reservation as one
+kernel event unless a span is being recorded (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from math import inf
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional
 
+from repro.hw.nic import Route
 from repro.hw.platform import ComputeNode
 from repro.hw.specs import RDMA_COSTS, TransportCosts
 from repro.net.message import HEADER_BYTES
@@ -214,22 +218,6 @@ class CompletionQueue:
         """Event yielding the next completion."""
         return self._store.get()
 
-    def poll_nowait(self) -> Optional[Completion]:
-        """Take the next completion now, or None when the queue is empty."""
-        store = self._store
-        return store.get_nowait() if store.items else None
-
-    def reap(self, completion: Completion) -> None:
-        """Drop ``completion`` if it is the newest entry still queued.
-
-        A progress engine reaps the completion of the operation it just
-        finished: the verbs below push it last, with no yield after.  A
-        completion already handed to a parked poller is not queued.
-        """
-        items = self._store.items
-        if items and items[-1] is completion:
-            items.pop()
-
     def __len__(self) -> int:
         return len(self._store)
 
@@ -262,6 +250,11 @@ class QueuePair:
         self.error: Optional[str] = None
         self._recv_queue: Store = Store(self.env,
                                         name="rdma.recv_queue")  # posted recv WRs
+        #: The switch crossing to the peer, resolved at :meth:`connect`.
+        self._route: Optional[Route] = None
+        #: Largest SEND/WRITE sent eagerly (no rendezvous round trip).
+        threshold = device.costs.rendezvous_threshold
+        self._eager_max = inf if threshold is None else threshold
 
     # -- connection management ---------------------------------------------
     def connect(self, remote: "QueuePair") -> None:
@@ -270,6 +263,9 @@ class QueuePair:
             raise RdmaError("QP already connected")
         self.remote = remote
         remote.remote = self
+        a, b = self.device.node, remote.device.node
+        self._route = a.switch.route(a.name, b.name)
+        remote._route = b.switch.route(b.name, a.name)
 
     def transition_to_error(self, reason: str) -> None:
         """Move the QP to the error state and flush its work requests.
@@ -330,17 +326,32 @@ class QueuePair:
         Returns the initiator-side completion.  The receiver's completion
         (with the payload) lands in its ``recv_cq``.
         """
+        size = nbytes if nbytes is not None else _payload_size(payload)
+        return self._send(payload, size, wr_id, trace, None)
+
+    def _send(self, payload: Any, size: int, wr_id: int, trace: Any,
+              inbox: Any) -> Generator[Event, None, Optional[Completion]]:
+        """The one SEND implementation (see :meth:`post_send`).
+
+        A fabric channel passes its peer's ``inbox``: its provider progress
+        engine hands ``payload`` (the message) to it on arrival instead of
+        matching a posted RECV, and no completion is made — nothing would
+        read them.  The timing is the same either way.
+        """
         remote = self._require_remote()
         costs = self.device.costs
-        env = self.env
-        size = nbytes if nbytes is not None else _payload_size(payload)
-
-        span = trace.child("rdma.post", node=self.device.node.name, nbytes=size) if trace is not None else None
-        yield self.device.node.cpu.execute(costs.tx_cpu_per_op)
+        if trace is None and size <= self._eager_max:
+            yield self._post_eager()
+            span = None
+        else:
+            span = yield from self._post(trace, size, size, "rdma.eager")
+        route = self._route
+        if route.tx is not None:
+            wire = int((size + HEADER_BYTES) / costs.goodput_efficiency)
+            yield from route.tx.transfer(wire)
+            yield from route.rx.transfer(wire)
         if span is not None:
             span.finish()
-        yield from self.device.qp_wire(remote.device, size, trace=trace,
-                                       stage="rdma.eager")
         if self.error is not None or remote.error is not None:
             # The QP broke while the message was on the wire.
             raise RdmaError(
@@ -348,26 +359,30 @@ class QueuePair:
                 f"{self.error or remote.error}"
             )
 
-        # Receiver must have a posted RECV (flow control is the upper
-        # layer's job; we block until one is available, like an RC QP
-        # with RNR retries).
-        span = trace.child("rdma.recv", node=remote.device.node.name, nbytes=size) if trace is not None else None
-        rq = remote._recv_queue
-        if rq.items:
-            wr_id_recv, mr = rq.get_nowait()
-        else:
-            wr_id_recv, mr = yield rq.get()
-        if mr is not None and isinstance(payload, (bytes, bytearray, memoryview)):
-            mr.write_bytes(mr.addr, payload)
-        yield remote.device.node.cpu.execute(costs.rx_cpu_per_op)
+        rdev = remote.device
+        span = trace.child("rdma.recv", node=rdev.node.name, nbytes=size) if trace is not None else None
+        if inbox is None:
+            # Receiver must have a posted RECV (flow control is the upper
+            # layer's job; we block until one is available, like an RC QP
+            # with RNR retries).
+            rq = remote._recv_queue
+            if rq.items:
+                wr_id_recv, mr = rq.get_nowait()
+            else:
+                wr_id_recv, mr = yield rq.get()
+            if mr is not None and isinstance(payload, (bytes, bytearray, memoryview)):
+                mr.write_bytes(mr.addr, payload)
+        yield rdev.node.cpu.execute(costs.rx_cpu_per_op)
         if span is not None:
             span.finish()
+        self.device.sent.record(size)
+        rdev.received.record(size)
+        if inbox is not None:
+            inbox.put_nowait(payload)
+            return None
         remote.recv_cq.push(Completion(wr_id_recv, "recv", "ok", size, payload))
-
         comp = Completion(wr_id, "send", "ok", size)
         self.send_cq.push(comp)
-        self.device.sent.record(size)
-        remote.device.received.record(size)
         return comp
 
     # -- one-sided -------------------------------------------------------------
@@ -381,23 +396,37 @@ class QueuePair:
         trace: Any = None,
     ) -> Generator[Event, None, Completion]:
         """One-sided WRITE into the peer's memory.  Zero remote CPU."""
-        remote = self._require_remote()
         size = nbytes if nbytes is not None else _payload_size(payload)
-        mr = self._validate(remote, remote_addr, size, AccessFlags.REMOTE_WRITE, rkey)
+        return self._write(remote_addr, rkey, payload, size, wr_id, trace, True)
 
-        span = trace.child("rdma.post", node=self.device.node.name, nbytes=size) if trace is not None else None
-        yield self.device.node.cpu.execute(self.device.costs.tx_cpu_per_op)
+    def _write(self, remote_addr: int, rkey: int, payload: Any, size: int,
+               wr_id: int, trace: Any,
+               complete: bool) -> Generator[Event, None, Optional[Completion]]:
+        """The one WRITE implementation; a fabric channel skips the
+        completion (``complete=False``)."""
+        remote = self._require_remote()
+        mr = self._validate(remote, remote_addr, size, AccessFlags.REMOTE_WRITE, rkey)
+        if trace is None and size <= self._eager_max:
+            yield self._post_eager()
+            span = None
+        else:
+            span = yield from self._post(trace, size, size, "rdma.dma")
+        route = self._route
+        if route.tx is not None:
+            wire = int((size + HEADER_BYTES) / self.device.costs.goodput_efficiency)
+            yield from route.tx.transfer(wire)
+            yield from route.rx.transfer(wire)
         if span is not None:
             span.finish()
-        yield from self.device.qp_wire(remote.device, size, trace=trace,
-                                       stage="rdma.dma")
 
         if payload is not None:
             mr.write_bytes(remote_addr, payload)
-        comp = Completion(wr_id, "write", "ok", size)
-        self.send_cq.push(comp)
         self.device.sent.record(size)
         remote.device.received.record(size)
+        if not complete:
+            return None
+        comp = Completion(wr_id, "write", "ok", size)
+        self.send_cq.push(comp)
         return comp
 
     def rdma_read(
@@ -412,25 +441,105 @@ class QueuePair:
 
         The completion's ``payload`` carries the bytes for backed regions.
         """
+        return self._read(remote_addr, rkey, nbytes, wr_id, trace, True)
+
+    def _read(self, remote_addr: int, rkey: int, nbytes: int, wr_id: int,
+              trace: Any, complete: bool) -> Generator[Event, None, Any]:
+        """The one READ implementation; a fabric channel takes the bytes
+        without a completion (``complete=False``)."""
         remote = self._require_remote()
         mr = self._validate(remote, remote_addr, nbytes, AccessFlags.REMOTE_READ, rkey)
-
-        span = trace.child("rdma.post", node=self.device.node.name, nbytes=nbytes) if trace is not None else None
-        yield self.device.node.cpu.execute(self.device.costs.tx_cpu_per_op)
-        if span is not None:
+        # Request travels out (header only), data travels back (nbytes).
+        if trace is None:
+            yield self._post_eager()
+        else:
+            span = yield from self._post(trace, nbytes, 0, "rdma.dma")
+        route = self._route
+        if route.tx is not None:
+            wire = int(HEADER_BYTES / self.device.costs.goodput_efficiency)
+            yield from route.tx.transfer(wire)
+            yield from route.rx.transfer(wire)
+        if trace is not None:
             span.finish()
-        # Request travels out (small), data travels back (nbytes).
-        yield from self.device.qp_wire(remote.device, 0, trace=trace,
-                                       stage="rdma.dma")
-        yield from remote.device.qp_wire(self.device, nbytes, rendezvous_exempt=True,
-                                         trace=trace, stage="rdma.dma")
+            span = trace.child("rdma.dma", nbytes=nbytes)
+        # The data is the READ's response: no rendezvous on the way back.
+        costs = remote.device.costs
+        route = remote._route
+        sleep = route.sleep(self.env, costs.rtt_overhead / 2.0)
+        if sleep is not None:
+            yield sleep
+        if route.tx is not None:
+            wire = int((nbytes + HEADER_BYTES) / costs.goodput_efficiency)
+            yield from route.tx.transfer(wire)
+            yield from route.rx.transfer(wire)
+        if trace is not None:
+            span.finish()
 
         data = mr.read_bytes(remote_addr, nbytes)
-        comp = Completion(wr_id, "read", "ok", nbytes, data)
-        self.send_cq.push(comp)
         remote.device.sent.record(nbytes)
         self.device.received.record(nbytes)
+        if not complete:
+            return data
+        comp = Completion(wr_id, "read", "ok", nbytes, data)
+        self.send_cq.push(comp)
         return comp
+
+    # -- timing ------------------------------------------------------------
+    # Every verb starts the same way: the initiator posts on its CPU
+    # (``tx_cpu_per_op``), then the wire's pure delays follow — the fixed
+    # stack latency ``rtt_overhead/2``, for SENDs and WRITEs above the
+    # rendezvous threshold the RTS/CTS round trip, and the switch
+    # propagation — before the bytes cross the sender's TX and the
+    # receiver's RX pipe in the verb's own frame.
+    def _post_eager(self) -> Event:
+        """Untraced eager post: the stack latency and the propagation ride
+        the CPU reservation as one event at the chained-sleep instant."""
+        costs = self.device.costs
+        return self.device.node.cpu.execute_then(
+            costs.tx_cpu_per_op, costs.rtt_overhead / 2.0, self._route.propagation)
+
+    def _post(self, trace: Any, nbytes: int, size: int,
+              stage: str) -> Generator[Event, None, Any]:
+        """Post of a ``size``-byte crossing that keeps a sleep of its own.
+
+        Untraced, that is a rendezvous: the stack latency and the RTS/CTS
+        round trip ride the CPU reservation, and the propagation stays a
+        sleep scheduled at the round trip's end.  (Folding it in as well
+        would give its event a heap sequence number from before the round
+        trip, so it would pop ahead of events scheduled during the round
+        trip for the same instant.)  Traced, the post and each sleep stay
+        separate events: ``rdma.post`` ends at the CPU completion,
+        ``rdma.rendezvous`` measures the control round trip, and the rest
+        falls in the ``stage`` span, which is returned open for the caller
+        to finish once the bytes are over (None untraced).
+        """
+        device = self.device
+        costs = device.costs
+        cpu = device.node.cpu
+        env = self.env
+        pre = costs.rtt_overhead / 2.0
+        rtt = 2 * (device.node.switch.spec.propagation + pre)
+        if trace is None:
+            yield cpu.execute_then(costs.tx_cpu_per_op, pre, rtt)
+            sleep = self._route.sleep(env, 0.0)
+            if sleep is not None:
+                yield sleep
+            return None
+        src = device.node.name
+        span = trace.child("rdma.post", node=src, nbytes=nbytes)
+        yield cpu.execute(costs.tx_cpu_per_op)
+        span.finish()
+        if size > self._eager_max:
+            yield env.timeout(pre)
+            span = trace.child("rdma.rendezvous", node=src)
+            yield env.timeout(rtt)
+            span.finish()
+            pre = 0.0
+        span = trace.child(stage, nbytes=size)
+        sleep = self._route.sleep(env, pre)
+        if sleep is not None:
+            yield sleep
+        return span
 
     # -- internals ---------------------------------------------------------
     def _validate(
@@ -488,50 +597,6 @@ class RdmaDevice:
     ) -> QueuePair:
         """Create an RC queue pair in ``pd``."""
         return QueuePair(self, pd, send_cq, recv_cq)
-
-    def qp_wire(
-        self,
-        dst_device: "RdmaDevice",
-        size: int,
-        rendezvous_exempt: bool = False,
-        trace: Any = None,
-        stage: str = "net.wire",
-    ) -> Generator[Event, None, None]:
-        """Move ``size`` payload bytes to ``dst_device`` over the switch.
-
-        Applies goodput efficiency, fixed stack latency, and — for large
-        two-sided messages — the rendezvous control round-trip.
-        """
-        costs = self.costs
-        env = self.env
-        src_name = self.node.name
-        dst_name = dst_device.node.name
-        pre = costs.rtt_overhead / 2.0
-        if (
-            not rendezvous_exempt
-            and costs.rendezvous_threshold is not None
-            and size > costs.rendezvous_threshold
-        ):
-            # RTS/CTS exchange: one extra round-trip of small control msgs.
-            rtt = 2 * (self.node.switch.spec.propagation + costs.rtt_overhead / 2.0)
-            if trace is not None:
-                # Keep the two sleeps distinct so the rendezvous span
-                # measures the control round-trip on traced runs.
-                yield env.timeout(pre)
-                span = trace.child("rdma.rendezvous", node=src_name)
-                yield env.timeout(rtt)
-                span.finish()
-                pre = 0.0
-            else:
-                # Merge stack latency + RTS/CTS into one kernel event,
-                # firing at the bit-identical chained-sleep instant.
-                yield env.timeout_until((env.now + pre) + rtt)
-                pre = 0.0
-        span = trace.child(stage, nbytes=size) if trace is not None else None
-        wire = int((size + HEADER_BYTES) / costs.goodput_efficiency)
-        yield from self.node.switch.transmit(src_name, dst_name, wire, pre_delay=pre)
-        if span is not None:
-            span.finish()
 
 
 def _payload_size(payload: Any) -> int:

@@ -10,8 +10,10 @@ sender, serial     ``stack_serial_per_op`` in the host-wide TCP stack
                    section (socket/qdisc locks, scaled by ``lock_factor``)
 connection         ``per_conn_byte_cost * size`` through the connection's
                    own FIFO server — the classic single-stream ceiling
-wire               ``frame/goodput_efficiency`` bytes across the switch,
-                   plus ``rtt_overhead/2`` fixed stack latency
+wire               ``rtt_overhead/2`` fixed stack latency and the switch
+                   propagation (one event with the stream reservation),
+                   then ``frame/goodput_efficiency`` bytes across the
+                   sender's TX and the receiver's RX port
 receiver, RX path  ``rx_cpu_per_byte * size`` on the *restricted RX core
                    set* (softirq + copy-to-user).  On BlueField-3 this pool
                    is 2 slow cores — the receive bottleneck of §4.4
@@ -91,7 +93,7 @@ class TcpConnection:
                 snode.cpu,                          # 3: sender cores
                 snode.lock("tcp_stack"),            # 4: sender stack section
                 self._stream[name],                 # 5: per-conn stream
-                snode.switch,                       # 6
+                snode.switch.route(name, dnode.name),  # 6: wire crossing
                 dnode.name,                         # 7
                 dnode.tcp_rx_cpu,                   # 8: restricted RX cores
                 dnode.cpu,                          # 9: receiver cores
@@ -125,7 +127,7 @@ class TcpConnection:
         # Hot-path capsule resolved at connect time (see __init__) — this
         # generator runs once per wire message and is the single hottest
         # model function in every TCP experiment.
-        (src, dst, costs, src_cpu, src_lock, stream, switch, dst_name,
+        (src, dst, costs, src_cpu, src_lock, stream, route, dst_name,
          rx_pool, dst_cpu, dst_lock, src_bf3, dst_bf3) = cap
         env = src.env
         size = msg.nbytes
@@ -153,20 +155,32 @@ class TcpConnection:
             if span is not None:
                 span.finish()
         # Single-stream per-connection processing (sequential per direction).
-        if costs.per_conn_byte_cost and size:
-            span = trace.child("tcp.stream", node=msg.src, nbytes=size) if trace is not None else None
-            yield stream.serve(costs.per_conn_byte_cost * size)
-            if span is not None:
+        # The wire's pure delays follow it: the fixed stack latency (rtt/2)
+        # and the switch propagation.  Untraced, they ride its reservation
+        # as one event at the chained-sleep instant; a traced message keeps
+        # them apart, so ``tcp.stream`` ends at the stream's completion and
+        # the sleep falls in the ``net.wire`` span.
+        stream_cost = costs.per_conn_byte_cost * size
+        pre = costs.rtt_overhead / 2.0
+        if trace is None and stream_cost:
+            yield stream.serve_then(stream_cost, pre, route.propagation,
+                                    latency=False)
+            span = None
+        else:
+            if stream_cost:
+                span = trace.child("tcp.stream", node=msg.src, nbytes=size)
+                yield stream.serve(stream_cost)
                 span.finish()
+            span = trace.child("net.wire", nbytes=size) if trace is not None else None
+            sleep = route.sleep(env, pre)
+            if sleep is not None:
+                yield sleep
 
         # --- wire ------------------------------------------------------
-        # Fixed stack latency (rtt/2) is merged into the switch crossing's
-        # propagation event — one kernel event, bit-identical fire time.
-        span = trace.child("net.wire", nbytes=size) if trace is not None else None
-        wire = int(msg.frame_bytes / costs.goodput_efficiency)
-        yield from switch.transmit(
-            msg.src, dst_name, wire, pre_delay=costs.rtt_overhead / 2.0
-        )
+        if route.tx is not None:
+            wire = int(msg.frame_bytes / costs.goodput_efficiency)
+            yield from route.tx.transfer(wire)
+            yield from route.rx.transfer(wire)
         if span is not None:
             span.finish()
 

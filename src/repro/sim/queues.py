@@ -9,10 +9,12 @@ servers that need only **one** event per operation:
   the completion time analytically (``max(now, free_at) + duration``) and
   returns a single timeout event.  Exactly models a non-preemptive FIFO
   queue with deterministic service, which is how we model NVMe channels and
-  serial links.
+  serial links.  ``serve_then(duration, *delays)`` folds the pure sleeps
+  that follow the service into the same event.
 * :class:`PooledServer` — ``n`` identical FIFO servers sharing one queue
   (an M/G/n-style station).  Completion times are computed with a heap of
-  per-server free times.  Models CPU core pools.
+  per-server free times.  Models CPU core pools; ``execute_then`` is its
+  ``serve_then``.
 * :class:`BandwidthPipe` — a duplex-less byte pipe: transfers are chopped
   into chunks that interleave fairly through a :class:`FifoServer`, so a
   small message never waits behind more than the in-flight chunks of large
@@ -34,8 +36,8 @@ All of them track cumulative busy time so utilization can be reported.
 from __future__ import annotations
 
 import heapq
-from math import ceil
-from typing import Generator, Optional
+from math import ceil, fsum
+from typing import Generator, Optional, Tuple
 
 from repro.sim.core import Environment, Event, Process, Timeout
 
@@ -107,23 +109,17 @@ class FifoServer:
             wt.reserve(self.name, start - now, duration)
         return env.timeout(done - now)
 
-    def serve_then(self, duration: float, extra_delay: float) -> Timeout:
-        """Reserve ``duration`` of service, then sleep ``extra_delay`` more.
+    def serve_then(self, duration: float, *delays: float,
+                   latency: bool = True) -> Timeout:
+        """Reserve ``duration`` of service, then sleep through ``delays``.
 
-        Equivalent to ``yield serve(duration)`` followed by
-        ``yield env.timeout(extra_delay)`` but with a single kernel event.
-        The reservation bookkeeping (``_free_at``, ``busy_time``, station
-        stats) is identical to :meth:`serve`; only the caller's wake-up is
-        deferred.  Bit-exactness: ``serve`` would fire at
-        ``now + (done - now)`` and the chained timeout at that instant
-        plus ``extra_delay`` — the absolute fire time below repeats those
-        float operations verbatim and is scheduled via ``timeout_until``,
-        which never re-rounds through a relative delay.
+        Equivalent to ``yield serve(duration)`` followed by one
+        ``yield env.timeout(d)`` per delay, but with a single kernel event
+        (see :func:`_chained_wake`).  The reservation bookkeeping is
+        identical to :meth:`serve`; only the caller's wake-up is deferred.
         """
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
-        if extra_delay < 0:
-            raise ValueError(f"negative extra delay {extra_delay}")
         env = self.env
         now = env._now
         free = self._free_at
@@ -132,12 +128,7 @@ class FifoServer:
         self._free_at = done
         self.busy_time += duration
         self.ops += 1
-        if self._stats is not None:
-            self._stats.record(now, done)
-        wt = env._wait_tracer
-        if wt is not None:
-            wt.reserve(self.name, start - now, duration, extra_delay)
-        return env.timeout_until((now + (done - now)) + extra_delay)
+        return _chained_wake(self, now, start, duration, done, delays, latency)
 
     def serve_units(self, units: float) -> Timeout:
         """Serve ``units`` of work at the configured ``rate``."""
@@ -205,6 +196,23 @@ class PooledServer:
             wt.reserve(self.name, start - now, duration)
         return env.timeout(done - now)
 
+    def execute_then(self, duration: float, *delays: float,
+                     latency: bool = True) -> Timeout:
+        """:meth:`execute`, then sleep through ``delays``: one kernel event.
+
+        The pooled counterpart of :meth:`FifoServer.serve_then`.
+        """
+        if duration < 0:
+            raise ValueError(f"negative service duration {duration}")
+        now = self.env._now
+        free = heapq.heappop(self._free)
+        start = free if free > now else now
+        done = start + duration
+        heapq.heappush(self._free, done)
+        self.busy_time += duration
+        self.ops += 1
+        return _chained_wake(self, now, start, duration, done, delays, latency)
+
     def backlog(self) -> float:
         """Seconds until the earliest server frees up (0 if any is idle)."""
         return max(0.0, self._free[0] - self.env.now)
@@ -213,6 +221,38 @@ class PooledServer:
         """Mean per-server busy fraction over ``elapsed`` (default since 0)."""
         span = self.env.now if elapsed is None else elapsed
         return 0.0 if span <= 0 else min(1.0, self.busy_time / (span * self.n))
+
+
+def _chained_wake(srv, now: float, start: float, duration: float, done: float,
+                  delays: Tuple[float, ...], latency: bool) -> Timeout:
+    """The one wake-up event of a reservation followed by pure sleeps.
+
+    ``serve`` would fire at ``now + (done - now)`` and each chained
+    ``timeout(d)`` at the previous instant plus ``d``.  The absolute fire
+    time repeats those float additions verbatim and is scheduled with
+    ``timeout_until``, which never re-rounds through a relative delay, so
+    the event fires at the bit-identical instant.
+
+    With ``latency`` the wait tracer books the delays as the server's own
+    post-service latency (a device's access latency).  Without, they are
+    the caller's own sleeps and the tracer sees only the reservation —
+    what reserve-then-sleep shows when the sleeping process has no open
+    span, since an unattributed sleep is not recorded.  A caller with an
+    open span keeps the two events, so the sleep lands in its span.
+    """
+    when = now + (done - now)
+    for delay in delays:
+        if delay < 0:
+            raise ValueError(f"negative extra delay {delay}")
+        when += delay
+    env = srv.env
+    if srv._stats is not None:
+        srv._stats.record(now, done)
+    wt = env._wait_tracer
+    if wt is not None:
+        wt.reserve(srv.name, start - now, duration,
+                   fsum(delays) if latency else 0.0)
+    return env.timeout_until(when)
 
 
 class BandwidthPipe:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.hw import make_paper_testbed
-from repro.hw.specs import KIB, MIB
+from repro.hw.specs import KIB, MIB, RDMA_COSTS
 from repro.net import Fabric, Message
 from repro.net.fabric import RemoteRegion, list_providers, resolve_provider
+from repro.net.rdma import RdmaError
 from repro.sim import Environment
 
 
@@ -89,12 +90,13 @@ def test_listener_receives_in_arrival_order(provider):
 
 @pytest.mark.parametrize("provider", ["ucx+rc", "ofi+verbs;ofi_rxm"])
 def test_rdma_channel_reaps_its_completions(provider):
-    # Nothing polls the CQs of a channel's QPs, so the channel itself
-    # must drain every completion it causes: depth stays at zero however
-    # many SENDs, WRITEs and READs go through.
+    # Nothing polls the CQs of a channel's QPs, so the channel leaves no
+    # verbs bookkeeping behind: both CQs and the receive queues stay empty
+    # however many SENDs, WRITEs and READs go through.
     env, top, ch = setup(provider)
     region = ch.register("storage", 64 * KIB)
-    ch.listen("storage", lambda msg: None)
+    got = []
+    ch.listen("storage", lambda msg: got.append(msg.tag))
     n = 40
 
     def client(env):
@@ -109,7 +111,37 @@ def test_rdma_channel_reaps_its_completions(provider):
     for qp in ch.qps.values():
         assert len(qp.send_cq) == 0
         assert len(qp.recv_cq) == 0
+        assert len(qp._recv_queue) == 0
+    assert got == list(range(n))
     assert top.client.switch.port("host").bytes_sent() > n * 4 * KIB
+
+
+@pytest.mark.parametrize("provider", ["ucx+rc", "ofi+verbs;ofi_rxm"])
+def test_rdma_channel_qp_break_in_flight_raises(provider):
+    # The QPs break after the SEND was posted but before it lands: the
+    # sender still sees RdmaError and nothing is delivered.
+    env, top, ch = setup(provider)
+    got = []
+    ch.listen("storage", lambda msg: got.append(msg.tag))
+    posted = top.client.cpu.scaled(RDMA_COSTS.tx_cpu_per_op)
+    outcome = []
+
+    def client(env):
+        try:
+            yield from ch.send(Message(src="host", dst="storage", kind="req",
+                                       tag=1, nbytes=256))
+        except RdmaError as exc:
+            outcome.append(str(exc))
+
+    def breaker(env):
+        yield env.timeout(posted + RDMA_COSTS.rtt_overhead / 4.0)
+        ch.break_qps("injected qp_break")
+
+    env.process(client(env))
+    env.process(breaker(env))
+    env.run()
+    assert len(outcome) == 1 and "failed in flight" in outcome[0]
+    assert got == []
 
 
 @pytest.mark.parametrize("provider", ["ucx+tcp", "ucx+rc"])

@@ -10,6 +10,9 @@ Pins the perf-critical invariants added by the kernel optimisation pass:
 * ``Environment.events_processed`` / ``timeouts_recycled`` count what
   they claim; ``timeout_until`` fires at the exact float requested even
   when the Timeout object is recycled.
+* A chained-delay reservation (``serve_then``/``execute_then``) is
+  bit-identical to reserve-then-sleep with one event fewer per sleep, and
+  a traced RDMA SEND keeps its post and wire sleep as two events.
 * :class:`Resource` keeps FIFO grant order through swap-remove releases;
   :class:`PriorityResource` keeps ``(priority, arrival)`` order through
   heap tombstones (lazy deletion).
@@ -19,9 +22,13 @@ Pins the perf-critical invariants added by the kernel optimisation pass:
 
 import random
 
+import pytest
+
+from repro.hw.specs import RDMA_COSTS
 from repro.sim.core import Environment
-from repro.sim.queues import BandwidthPipe
+from repro.sim.queues import BandwidthPipe, FifoServer, PooledServer
 from repro.sim.resources import PriorityResource, Resource
+from repro.sim.waits import WaitTracer
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +285,183 @@ def test_timeout_until_rejects_past():
     p = env.process(proc(env))
     env.run()
     assert p.value == "raised"
+
+
+# ---------------------------------------------------------------------------
+# Chained-delay reservations (serve_then / execute_then)
+# ---------------------------------------------------------------------------
+
+class _StationLog:
+    """Station-stats stand-in: logs every ``(arrival, completion)`` pair."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def record(self, now, done):
+        self.pairs.append((now, done))
+
+
+def _reserve_jobs(seed, n=40):
+    """Random ``(start, duration, delays)`` jobs, many of them near t = 0."""
+    rng = random.Random(seed)
+    jobs = []
+    for _ in range(n):
+        start = rng.choice([rng.uniform(0.0, 1e-9), rng.uniform(0.0, 1e-6),
+                            rng.uniform(0.0, 2e-3)])
+        duration = rng.choice([0.0, rng.uniform(0.0, 1e-7),
+                               rng.uniform(0.0, 3e-4)])
+        delays = tuple(rng.choice([0.0, rng.uniform(0.0, 1e-8),
+                                   rng.uniform(0.0, 5e-5)])
+                       for _ in range(rng.randrange(0, 4)))
+        jobs.append((start, duration, delays))
+    return jobs
+
+
+def _run_reservations(kind, jobs, chained, latency=False):
+    """Each job reserves once, then sleeps its delays: either chained into
+    one event or as reserve-then-sleep.  Returns every observable."""
+    env = Environment()
+    if kind == "fifo":
+        srv = FifoServer(env, name="srv")
+        plain, then = srv.serve, srv.serve_then
+    else:
+        srv = PooledServer(env, 3, name="srv")
+        plain, then = srv.execute, srv.execute_then
+    log = _StationLog()
+    srv.attach_stats(log)
+    tracer = WaitTracer(env).install()
+    woke = {}
+
+    def job(env, i, start, duration, delays):
+        yield env.timeout_until(start)
+        if chained:
+            yield then(duration, *delays, latency=latency)
+        else:
+            yield plain(duration)
+            for delay in delays:
+                yield env.timeout(delay)
+        woke[i] = env.now
+
+    for i, (start, duration, delays) in enumerate(jobs):
+        env.process(job(env, i, start, duration, delays))
+    env.run()
+    free = srv.free_at if kind == "fifo" else sorted(srv._free)
+    return {
+        "woke": woke,
+        "free": free,
+        "busy_time": srv.busy_time,
+        "ops": srv.ops,
+        "stats": log.pairs,
+        "waits": {k: v.to_dict() for k, v in sorted(tracer.aggregates.items())},
+        "records": len(tracer.records),
+        "events": env.events_processed,
+    }
+
+
+@pytest.mark.parametrize("kind", ["fifo", "pooled"])
+def test_chained_reservation_bit_identical_to_reserve_then_sleep(kind):
+    # The fire time repeats ``((now + (done - now)) + d1) + d2 ...`` — the
+    # reference's float additions — so every wake-up is bit-identical,
+    # including near t = 0 where ``now + (done - now)`` is not ``done``.
+    drift = 0
+    for seed in range(30):
+        jobs = _reserve_jobs(seed)
+        ref = _run_reservations(kind, jobs, chained=False)
+        new = _run_reservations(kind, jobs, chained=True)
+        for key in ("woke", "free", "busy_time", "ops", "stats", "waits",
+                    "records"):
+            assert new[key] == ref[key], f"{kind} seed {seed}: {key}"
+        n_sleeps = sum(1 for _, _, delays in jobs for _ in delays)
+        assert new["events"] == ref["events"] - n_sleeps
+        drift += sum(1 for now, done in ref["stats"] if now + (done - now) != done)
+    assert drift > 0  # the schedules do reach the rounding region
+
+
+@pytest.mark.parametrize("kind", ["fifo", "pooled"])
+def test_chained_reservation_books_delays_only_as_own_latency(kind):
+    # latency=True (a device's access latency) books the delays on the
+    # server; everything else in the wait aggregates is unchanged.
+    jobs = _reserve_jobs(7)
+    ref = _run_reservations(kind, jobs, chained=False)
+    own = _run_reservations(kind, jobs, chained=True, latency=True)
+    assert own["woke"] == ref["woke"]
+    got, want = own["waits"]["srv"], ref["waits"]["srv"]
+    assert got["latency_sec"] == pytest.approx(
+        sum(sum(delays) for _, _, delays in jobs), rel=1e-12)
+    got.pop("latency_sec")
+    want.pop("latency_sec")
+    assert got == want
+
+
+def test_chained_reservation_rejects_negative_delay():
+    env = Environment()
+    with pytest.raises(ValueError, match="negative extra delay"):
+        FifoServer(env).serve_then(1e-6, 1e-6, -1e-9)
+    with pytest.raises(ValueError, match="negative extra delay"):
+        PooledServer(env, 2).execute_then(1e-6, -1e-9)
+
+
+def _one_rdma_send(traced, nbytes=256):
+    from repro.hw import make_paper_testbed
+    from repro.net import Fabric, Message
+    from repro.sim.spans import SpanCollector
+
+    env = Environment()
+    top = make_paper_testbed(env, client="dpu")
+    ch = Fabric(env).connect(top.client, top.server, "rdma")
+    arrived = []
+    ch.listen("storage", lambda msg: arrived.append(env.now))
+    col = SpanCollector(env)
+    tracer = WaitTracer(env).install()
+
+    def client(env):
+        tr = col.trace("io", node="dpu") if traced else None
+        meta = {"trace": tr.root} if traced else {}
+        yield from ch.send(Message(src="dpu", dst="storage", kind="req",
+                                   nbytes=nbytes, meta=meta))
+        if traced:
+            tr.finish()
+
+    env.process(client(env))
+    env.run()
+    return env, top, arrived, col, tracer
+
+
+def test_traced_rdma_send_keeps_two_events_and_its_spans():
+    env_u, top, arrived_u, _, tracer_u = _one_rdma_send(traced=False)
+    env_t, _, arrived_t, col, tracer_t = _one_rdma_send(traced=True)
+    assert arrived_t == arrived_u
+    # The untraced post carries the wire's pure delays; the traced one
+    # keeps the CPU post and the sleep as two events.
+    assert env_t.events_processed == env_u.events_processed + 1
+    spans = {s.name: s for s in col.spans}
+    post, wire, recv = spans["rdma.post"], spans["rdma.eager"], spans["rdma.recv"]
+    assert post.t_start == 0.0
+    assert post.t_end == top.client.cpu.scaled(RDMA_COSTS.tx_cpu_per_op)
+    assert wire.t_start == post.t_end and recv.t_start == wire.t_end
+    # The sleep (stack latency + propagation) lands in the wire span, and
+    # the CPU pool books no latency for it, traced or not.
+    (sleep,) = [r for r in tracer_t.records if r.kind == "sleep"]
+    assert sleep.span is wire
+    assert sleep.latency == (post.t_end + RDMA_COSTS.rtt_overhead / 2.0
+                             + top.switch.spec.propagation) - post.t_end
+    for tracer in (tracer_u, tracer_t):
+        assert tracer.aggregates["dpu.cpu"].latency == 0.0
+
+
+def test_rendezvous_send_folds_its_round_trip_into_the_post():
+    # Above the rendezvous threshold the untraced post carries the stack
+    # latency and the RTS/CTS round trip; the propagation stays its own
+    # event.  Traced, all three sleeps are separate, with the round trip
+    # in its own span.
+    nbytes = 4 * RDMA_COSTS.rendezvous_threshold
+    env_u, _, arrived_u, _, _ = _one_rdma_send(traced=False, nbytes=nbytes)
+    env_t, _, arrived_t, col, _ = _one_rdma_send(traced=True, nbytes=nbytes)
+    assert arrived_t == arrived_u
+    assert env_t.events_processed == env_u.events_processed + 2
+    spans = {s.name: s for s in col.spans}
+    assert spans["rdma.rendezvous"].t_start > spans["rdma.post"].t_end
+    assert spans["rdma.eager"].t_start == spans["rdma.rendezvous"].t_end
 
 
 # ---------------------------------------------------------------------------
