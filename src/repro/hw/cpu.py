@@ -50,19 +50,15 @@ class CpuPool:
         """Resource name for wait-cause attribution."""
         return self._pool.name
 
-    def execute(self, x86_cost: float) -> Timeout:
-        """Run ``x86_cost`` seconds of baseline work on the earliest-free core."""
-        return self._pool.execute(x86_cost * self.factor)
+    def execute(self, x86_cost: float, *delays: float) -> Timeout:
+        """Run ``x86_cost`` seconds of baseline work on the earliest-free core.
 
-    def execute_then(self, x86_cost: float, *delays: float) -> Timeout:
-        """:meth:`execute`, then the caller's own pure sleeps, as one event.
-
-        Transports fold the wire's fixed delays into their post this way;
-        the wait tracer books the delays as nobody's latency (see
-        :meth:`repro.sim.queues.PooledServer.execute_then`).
+        Trailing ``delays`` are the caller's own pure sleeps after the
+        work, chained into the same event (transports fold the wire's
+        fixed delays into their post this way; see
+        :meth:`repro.sim.queues.PooledServer.execute`).
         """
-        return self._pool.execute_then(x86_cost * self.factor, *delays,
-                                       latency=False)
+        return self._pool.execute(x86_cost * self.factor, *delays)
 
     def scaled(self, x86_cost: float) -> float:
         """The actual duration this pool needs for ``x86_cost`` of work."""

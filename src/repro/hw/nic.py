@@ -76,9 +76,9 @@ class Switch:
         """The crossing from ``src`` to ``dst``, for a transport to take inline.
 
         Transports resolve it once per connection, fold the propagation
-        delay into their last reservation before the wire and move the
-        bytes through ``route.tx`` and ``route.rx`` in their own generator
-        frame.  Loopback never touches the wire: no pipes, no propagation.
+        delay into their last reservation before the wire and then move
+        the bytes with :meth:`Route.cross`.  Loopback never touches the
+        wire: no pipes, no propagation.
         """
         if src == dst:
             return Route(0.0, None, None)
@@ -90,18 +90,15 @@ class Switch:
         """Move ``wire_bytes`` from ``src`` to ``dst`` (generator; yield from).
 
         Sleeps the one-way propagation, then crosses ``src``'s TX pipe and
-        ``dst``'s RX pipe.  The transports cross through :meth:`route`
-        instead, with the propagation folded into their own last event.
+        ``dst``'s RX pipe.  The transports take the :meth:`route` instead,
+        with the propagation folded into their own last event.
         """
         route = self.route(src, dst)
-        if route.tx is None:
-            return  # loopback never touches the wire
         if route.propagation:
-            # Zero-propagation links (ablations, loop-local fabrics) skip
-            # the timeout(0) event entirely.
+            # Zero-propagation links (ablations, loop-local fabrics) and
+            # loopback skip the timeout(0) event entirely.
             yield self.env.timeout(route.propagation)
-        yield from route.tx.transfer(wire_bytes)
-        yield from route.rx.transfer(wire_bytes)
+        yield from route.cross(wire_bytes)
 
 
 class Route:
@@ -126,6 +123,17 @@ class Route:
         if self.propagation:
             return env.timeout(self.propagation)
         return None
+
+    def cross(self, wire_bytes: int) -> Generator[Event, None, None]:
+        """Move ``wire_bytes`` through the TX pipe, then the RX pipe.
+
+        The bytes only: the caller has already slept the propagation
+        (generator; yield from).  Loopback moves nothing.
+        """
+        if self.tx is None:
+            return
+        yield from self.tx.transfer(wire_bytes)
+        yield from self.rx.transfer(wire_bytes)
 
 
 class DuplexLink:

@@ -345,11 +345,8 @@ class QueuePair:
             span = None
         else:
             span = yield from self._post(trace, size, size, "rdma.eager")
-        route = self._route
-        if route.tx is not None:
-            wire = int((size + HEADER_BYTES) / costs.goodput_efficiency)
-            yield from route.tx.transfer(wire)
-            yield from route.rx.transfer(wire)
+        yield from self._route.cross(
+            int((size + HEADER_BYTES) / costs.goodput_efficiency))
         if span is not None:
             span.finish()
         if self.error is not None or remote.error is not None:
@@ -411,11 +408,8 @@ class QueuePair:
             span = None
         else:
             span = yield from self._post(trace, size, size, "rdma.dma")
-        route = self._route
-        if route.tx is not None:
-            wire = int((size + HEADER_BYTES) / self.device.costs.goodput_efficiency)
-            yield from route.tx.transfer(wire)
-            yield from route.rx.transfer(wire)
+        yield from self._route.cross(
+            int((size + HEADER_BYTES) / self.device.costs.goodput_efficiency))
         if span is not None:
             span.finish()
 
@@ -454,11 +448,8 @@ class QueuePair:
             yield self._post_eager()
         else:
             span = yield from self._post(trace, nbytes, 0, "rdma.dma")
-        route = self._route
-        if route.tx is not None:
-            wire = int(HEADER_BYTES / self.device.costs.goodput_efficiency)
-            yield from route.tx.transfer(wire)
-            yield from route.rx.transfer(wire)
+        yield from self._route.cross(
+            int(HEADER_BYTES / self.device.costs.goodput_efficiency))
         if trace is not None:
             span.finish()
             span = trace.child("rdma.dma", nbytes=nbytes)
@@ -468,10 +459,7 @@ class QueuePair:
         sleep = route.sleep(self.env, costs.rtt_overhead / 2.0)
         if sleep is not None:
             yield sleep
-        if route.tx is not None:
-            wire = int((nbytes + HEADER_BYTES) / costs.goodput_efficiency)
-            yield from route.tx.transfer(wire)
-            yield from route.rx.transfer(wire)
+        yield from route.cross(int((nbytes + HEADER_BYTES) / costs.goodput_efficiency))
         if trace is not None:
             span.finish()
 
@@ -489,13 +477,13 @@ class QueuePair:
     # (``tx_cpu_per_op``), then the wire's pure delays follow — the fixed
     # stack latency ``rtt_overhead/2``, for SENDs and WRITEs above the
     # rendezvous threshold the RTS/CTS round trip, and the switch
-    # propagation — before the bytes cross the sender's TX and the
-    # receiver's RX pipe in the verb's own frame.
+    # propagation — before :meth:`Route.cross` moves the bytes over the
+    # sender's TX and the receiver's RX pipe.
     def _post_eager(self) -> Event:
         """Untraced eager post: the stack latency and the propagation ride
         the CPU reservation as one event at the chained-sleep instant."""
         costs = self.device.costs
-        return self.device.node.cpu.execute_then(
+        return self.device.node.cpu.execute(
             costs.tx_cpu_per_op, costs.rtt_overhead / 2.0, self._route.propagation)
 
     def _post(self, trace: Any, nbytes: int, size: int,
@@ -520,7 +508,7 @@ class QueuePair:
         pre = costs.rtt_overhead / 2.0
         rtt = 2 * (device.node.switch.spec.propagation + pre)
         if trace is None:
-            yield cpu.execute_then(costs.tx_cpu_per_op, pre, rtt)
+            yield cpu.execute(costs.tx_cpu_per_op, pre, rtt)
             sleep = self._route.sleep(env, 0.0)
             if sleep is not None:
                 yield sleep

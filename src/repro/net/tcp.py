@@ -163,8 +163,7 @@ class TcpConnection:
         stream_cost = costs.per_conn_byte_cost * size
         pre = costs.rtt_overhead / 2.0
         if trace is None and stream_cost:
-            yield stream.serve_then(stream_cost, pre, route.propagation,
-                                    latency=False)
+            yield stream.serve(stream_cost, pre, route.propagation)
             span = None
         else:
             if stream_cost:
@@ -177,10 +176,7 @@ class TcpConnection:
                 yield sleep
 
         # --- wire ------------------------------------------------------
-        if route.tx is not None:
-            wire = int(msg.frame_bytes / costs.goodput_efficiency)
-            yield from route.tx.transfer(wire)
-            yield from route.rx.transfer(wire)
+        yield from route.cross(int(msg.frame_bytes / costs.goodput_efficiency))
         if span is not None:
             span.finish()
 

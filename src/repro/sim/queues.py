@@ -9,12 +9,13 @@ servers that need only **one** event per operation:
   the completion time analytically (``max(now, free_at) + duration``) and
   returns a single timeout event.  Exactly models a non-preemptive FIFO
   queue with deterministic service, which is how we model NVMe channels and
-  serial links.  ``serve_then(duration, *delays)`` folds the pure sleeps
-  that follow the service into the same event.
+  serial links.  ``serve(duration, *delays)`` folds the caller's pure
+  sleeps that follow the service into the same event; ``serve_then``
+  does so for the server's own access latency.
 * :class:`PooledServer` — ``n`` identical FIFO servers sharing one queue
   (an M/G/n-style station).  Completion times are computed with a heap of
-  per-server free times.  Models CPU core pools; ``execute_then`` is its
-  ``serve_then``.
+  per-server free times.  Models CPU core pools; ``execute(duration,
+  *delays)`` chains trailing sleeps like ``serve``.
 * :class:`BandwidthPipe` — a duplex-less byte pipe: transfers are chopped
   into chunks that interleave fairly through a :class:`FifoServer`, so a
   small message never waits behind more than the in-flight chunks of large
@@ -36,7 +37,7 @@ All of them track cumulative busy time so utilization can be reported.
 from __future__ import annotations
 
 import heapq
-from math import ceil, fsum
+from math import ceil
 from typing import Generator, Optional, Tuple
 
 from repro.sim.core import Environment, Event, Process, Timeout
@@ -90,10 +91,18 @@ class FifoServer:
         """Seconds of already-reserved work ahead of a new arrival."""
         return max(0.0, self._free_at - self.env.now)
 
-    def serve(self, duration: float) -> Timeout:
-        """Reserve ``duration`` seconds of service; event fires at completion."""
+    def serve(self, duration: float, *delays: float) -> Timeout:
+        """Reserve ``duration`` seconds of service; event fires at completion.
+
+        Trailing ``delays`` are the caller's own pure sleeps after the
+        service: the event then fires where ``yield serve(duration)``
+        followed by one ``yield env.timeout(d)`` per delay would wake the
+        caller, with one kernel event (see :func:`_chained_wake`).
+        """
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
+        if delays and min(delays) < 0:
+            raise ValueError(f"negative extra delay {min(delays)}")
         env = self.env
         now = env._now
         free = self._free_at
@@ -102,6 +111,8 @@ class FifoServer:
         self._free_at = done
         self.busy_time += duration
         self.ops += 1
+        if delays:
+            return _chained_wake(self, now, start, duration, done, delays, 0.0)
         if self._stats is not None:
             self._stats.record(now, done)
         wt = env._wait_tracer
@@ -109,26 +120,26 @@ class FifoServer:
             wt.reserve(self.name, start - now, duration)
         return env.timeout(done - now)
 
-    def serve_then(self, duration: float, *delays: float,
-                   latency: bool = True) -> Timeout:
-        """Reserve ``duration`` of service, then sleep through ``delays``.
+    def serve_then(self, duration: float, extra_delay: float) -> Timeout:
+        """Reserve ``duration`` of service, then the server's own latency.
 
-        Equivalent to ``yield serve(duration)`` followed by one
-        ``yield env.timeout(d)`` per delay, but with a single kernel event
-        (see :func:`_chained_wake`).  The reservation bookkeeping is
-        identical to :meth:`serve`; only the caller's wake-up is deferred.
+        Like ``serve(duration, extra_delay)``, but the wait tracer books
+        ``extra_delay`` on this server as its post-service latency (a
+        device's access latency) rather than leaving it unattributed.
         """
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
-        env = self.env
-        now = env._now
+        if extra_delay < 0:
+            raise ValueError(f"negative extra delay {extra_delay}")
+        now = self.env._now
         free = self._free_at
         start = free if free > now else now
         done = start + duration
         self._free_at = done
         self.busy_time += duration
         self.ops += 1
-        return _chained_wake(self, now, start, duration, done, delays, latency)
+        return _chained_wake(self, now, start, duration, done, (extra_delay,),
+                             extra_delay)
 
     def serve_units(self, units: float) -> Timeout:
         """Serve ``units`` of work at the configured ``rate``."""
@@ -177,10 +188,16 @@ class PooledServer:
         """Time the least-loaded server becomes idle."""
         return self._free[0]
 
-    def execute(self, duration: float) -> Timeout:
-        """Reserve ``duration`` seconds on the earliest-free server."""
+    def execute(self, duration: float, *delays: float) -> Timeout:
+        """Reserve ``duration`` seconds on the earliest-free server.
+
+        Trailing ``delays`` are the caller's own pure sleeps, chained into
+        the one event as in :meth:`FifoServer.serve`.
+        """
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
+        if delays and min(delays) < 0:
+            raise ValueError(f"negative extra delay {min(delays)}")
         env = self.env
         now = env._now
         free = heapq.heappop(self._free)
@@ -189,29 +206,14 @@ class PooledServer:
         heapq.heappush(self._free, done)
         self.busy_time += duration
         self.ops += 1
+        if delays:
+            return _chained_wake(self, now, start, duration, done, delays, 0.0)
         if self._stats is not None:
             self._stats.record(now, done)
         wt = env._wait_tracer
         if wt is not None:
             wt.reserve(self.name, start - now, duration)
         return env.timeout(done - now)
-
-    def execute_then(self, duration: float, *delays: float,
-                     latency: bool = True) -> Timeout:
-        """:meth:`execute`, then sleep through ``delays``: one kernel event.
-
-        The pooled counterpart of :meth:`FifoServer.serve_then`.
-        """
-        if duration < 0:
-            raise ValueError(f"negative service duration {duration}")
-        now = self.env._now
-        free = heapq.heappop(self._free)
-        start = free if free > now else now
-        done = start + duration
-        heapq.heappush(self._free, done)
-        self.busy_time += duration
-        self.ops += 1
-        return _chained_wake(self, now, start, duration, done, delays, latency)
 
     def backlog(self) -> float:
         """Seconds until the earliest server frees up (0 if any is idle)."""
@@ -224,34 +226,34 @@ class PooledServer:
 
 
 def _chained_wake(srv, now: float, start: float, duration: float, done: float,
-                  delays: Tuple[float, ...], latency: bool) -> Timeout:
+                  delays: Tuple[float, ...], latency: float) -> Timeout:
     """The one wake-up event of a reservation followed by pure sleeps.
 
     ``serve`` would fire at ``now + (done - now)`` and each chained
     ``timeout(d)`` at the previous instant plus ``d``.  The absolute fire
     time repeats those float additions verbatim and is scheduled with
     ``timeout_until``, which never re-rounds through a relative delay, so
-    the event fires at the bit-identical instant.
+    the event fires at the bit-identical instant.  Its place among
+    *equal-time* events is not kept: the event takes its heap sequence
+    number now, not at the end of the reservation, so it pops ahead of
+    an event scheduled in between for the same instant.
 
-    With ``latency`` the wait tracer books the delays as the server's own
-    post-service latency (a device's access latency).  Without, they are
-    the caller's own sleeps and the tracer sees only the reservation —
-    what reserve-then-sleep shows when the sleeping process has no open
-    span, since an unattributed sleep is not recorded.  A caller with an
-    open span keeps the two events, so the sleep lands in its span.
+    The wait tracer books ``latency`` as the server's post-service
+    latency (``serve_then``: a device's access latency).  Chained caller
+    sleeps book none: the tracer sees only the reservation, which is what
+    reserve-then-sleep shows when the sleeping process has no open span,
+    since an unattributed sleep is not recorded.  A caller with an open
+    span keeps the two events, so the sleep lands in its span.
     """
     when = now + (done - now)
     for delay in delays:
-        if delay < 0:
-            raise ValueError(f"negative extra delay {delay}")
         when += delay
     env = srv.env
     if srv._stats is not None:
         srv._stats.record(now, done)
     wt = env._wait_tracer
     if wt is not None:
-        wt.reserve(srv.name, start - now, duration,
-                   fsum(delays) if latency else 0.0)
+        wt.reserve(srv.name, start - now, duration, latency)
     return env.timeout_until(when)
 
 

@@ -10,9 +10,10 @@ Pins the perf-critical invariants added by the kernel optimisation pass:
 * ``Environment.events_processed`` / ``timeouts_recycled`` count what
   they claim; ``timeout_until`` fires at the exact float requested even
   when the Timeout object is recycled.
-* A chained-delay reservation (``serve_then``/``execute_then``) is
-  bit-identical to reserve-then-sleep with one event fewer per sleep, and
-  a traced RDMA SEND keeps its post and wire sleep as two events.
+* A chained-delay reservation (``serve``/``execute`` with trailing
+  delays, ``serve_then``) wakes at the bit-identical instant of
+  reserve-then-sleep with one event fewer per sleep, and a traced RDMA
+  SEND keeps its post and wire sleep as two events.
 * :class:`Resource` keeps FIFO grant order through swap-remove releases;
   :class:`PriorityResource` keeps ``(priority, arrival)`` order through
   heap tombstones (lazy deletion).
@@ -288,7 +289,7 @@ def test_timeout_until_rejects_past():
 
 
 # ---------------------------------------------------------------------------
-# Chained-delay reservations (serve_then / execute_then)
+# Chained-delay reservations (serve / execute with delays, serve_then)
 # ---------------------------------------------------------------------------
 
 class _StationLog:
@@ -317,16 +318,17 @@ def _reserve_jobs(seed, n=40):
     return jobs
 
 
-def _run_reservations(kind, jobs, chained, latency=False):
+def _run_reservations(kind, jobs, chained, own_latency=False):
     """Each job reserves once, then sleeps its delays: either chained into
-    one event or as reserve-then-sleep.  Returns every observable."""
+    one event or as reserve-then-sleep.  ``own_latency`` chains a job's
+    single delay through ``serve_then``.  Returns every observable."""
     env = Environment()
     if kind == "fifo":
         srv = FifoServer(env, name="srv")
-        plain, then = srv.serve, srv.serve_then
+        reserve = srv.serve
     else:
         srv = PooledServer(env, 3, name="srv")
-        plain, then = srv.execute, srv.execute_then
+        reserve = srv.execute
     log = _StationLog()
     srv.attach_stats(log)
     tracer = WaitTracer(env).install()
@@ -334,10 +336,12 @@ def _run_reservations(kind, jobs, chained, latency=False):
 
     def job(env, i, start, duration, delays):
         yield env.timeout_until(start)
-        if chained:
-            yield then(duration, *delays, latency=latency)
+        if own_latency:
+            yield srv.serve_then(duration, *delays)
+        elif chained:
+            yield reserve(duration, *delays)
         else:
-            yield plain(duration)
+            yield reserve(duration)
             for delay in delays:
                 yield env.timeout(delay)
         woke[i] = env.now
@@ -361,8 +365,10 @@ def _run_reservations(kind, jobs, chained, latency=False):
 @pytest.mark.parametrize("kind", ["fifo", "pooled"])
 def test_chained_reservation_bit_identical_to_reserve_then_sleep(kind):
     # The fire time repeats ``((now + (done - now)) + d1) + d2 ...`` — the
-    # reference's float additions — so every wake-up is bit-identical,
-    # including near t = 0 where ``now + (done - now)`` is not ``done``.
+    # reference's float additions — so every wake-up instant is
+    # bit-identical, including near t = 0 where ``now + (done - now)`` is
+    # not ``done``.  (Only the instant: the chained event is sequenced at
+    # the reservation, so its order among equal-time events may differ.)
     drift = 0
     for seed in range(30):
         jobs = _reserve_jobs(seed)
@@ -377,28 +383,37 @@ def test_chained_reservation_bit_identical_to_reserve_then_sleep(kind):
     assert drift > 0  # the schedules do reach the rounding region
 
 
-@pytest.mark.parametrize("kind", ["fifo", "pooled"])
-def test_chained_reservation_books_delays_only_as_own_latency(kind):
-    # latency=True (a device's access latency) books the delays on the
+def test_serve_then_books_its_delay_only_as_own_latency():
+    # ``serve_then`` (a device's access latency) books the delay on the
     # server; everything else in the wait aggregates is unchanged.
-    jobs = _reserve_jobs(7)
-    ref = _run_reservations(kind, jobs, chained=False)
-    own = _run_reservations(kind, jobs, chained=True, latency=True)
+    jobs = [(start, duration, delays[:1] or (0.0,))
+            for start, duration, delays in _reserve_jobs(7)]
+    ref = _run_reservations("fifo", jobs, chained=False)
+    own = _run_reservations("fifo", jobs, chained=True, own_latency=True)
     assert own["woke"] == ref["woke"]
     got, want = own["waits"]["srv"], ref["waits"]["srv"]
     assert got["latency_sec"] == pytest.approx(
-        sum(sum(delays) for _, _, delays in jobs), rel=1e-12)
+        sum(delays[0] for _, _, delays in jobs), rel=1e-12)
     got.pop("latency_sec")
     want.pop("latency_sec")
     assert got == want
 
 
-def test_chained_reservation_rejects_negative_delay():
+def test_chained_reservation_rejects_negative_delay_before_reserving():
     env = Environment()
+    fifo, pool = FifoServer(env), PooledServer(env, 2)
+    fifo.serve(1e-6)
+    pool.execute(2e-6)
+    before = (fifo.free_at, fifo.busy_time, fifo.ops,
+              list(pool._free), pool.busy_time, pool.ops)
     with pytest.raises(ValueError, match="negative extra delay"):
-        FifoServer(env).serve_then(1e-6, 1e-6, -1e-9)
+        fifo.serve(1e-6, 1e-6, -1e-9)
     with pytest.raises(ValueError, match="negative extra delay"):
-        PooledServer(env, 2).execute_then(1e-6, -1e-9)
+        fifo.serve_then(1e-6, -1e-9)
+    with pytest.raises(ValueError, match="negative extra delay"):
+        pool.execute(1e-6, -1e-9)
+    assert (fifo.free_at, fifo.busy_time, fifo.ops,
+            list(pool._free), pool.busy_time, pool.ops) == before
 
 
 def _one_rdma_send(traced, nbytes=256):
