@@ -13,7 +13,7 @@ from conftest import CellCache, write_report
 
 from repro.bench.report import Table
 from repro.bench.runner import run_fig5_cell
-from repro.hw.specs import GIB, KIB, MIB
+from repro.hw.specs import KIB
 from repro.net.fabric import list_providers, resolve_provider
 
 CACHE = CellCache()
@@ -24,7 +24,7 @@ def cell(provider: str):
     return CACHE.get_or_run(
         (provider,),
         lambda: run_fig5_cell(provider, "host", "randread", 4 * KIB, 8,
-                              runtime=0.02),
+                              runtime=0.02).result,
     )
 
 

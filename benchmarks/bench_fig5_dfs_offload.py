@@ -19,7 +19,7 @@ from conftest import CellCache, cells_payload, write_report
 
 from repro.bench.calibration import PAPER_BANDS, describe_band
 from repro.bench.report import Table
-from repro.bench.runner import run_fig5_cell
+from repro.bench.runner import default_numjobs, run_fig5_cell
 from repro.hw.specs import KIB, MIB
 from repro.workload.fio import WORKLOADS
 
@@ -30,10 +30,11 @@ CONFIGS = [("tcp", "host"), ("tcp", "dpu"), ("rdma", "host"), ("rdma", "dpu")]
 
 def cell(provider, client, rw, bs, n_ssds, numjobs=None):
     if numjobs is None:
-        numjobs = 8 if bs >= MIB else 16
+        numjobs = default_numjobs(bs)
     return CACHE.get_or_run(
         (provider, client, rw, bs, n_ssds, numjobs),
-        lambda: run_fig5_cell(provider, client, rw, bs, numjobs, n_ssds=n_ssds),
+        lambda: run_fig5_cell(provider, client, rw, bs, numjobs,
+                              n_ssds=n_ssds).result,
     )
 
 

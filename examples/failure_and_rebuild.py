@@ -16,7 +16,6 @@ Run:  python examples/failure_and_rebuild.py
 
 from repro.core import Ros2Config, Ros2System
 from repro.daos.types import ObjectClass
-from repro.hw.specs import GIB
 from repro.sim import Environment
 
 PAYLOAD = bytes((i * 17 + 3) % 256 for i in range(128 * 1024))  # 2 EC stripes

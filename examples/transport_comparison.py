@@ -18,7 +18,7 @@ def main() -> None:
     large = {}
     for provider in ["tcp", "rdma"]:
         for client in ["host", "dpu"]:
-            r = run_fig5_cell(provider, client, "read", MIB, 8)
+            r = run_fig5_cell(provider, client, "read", MIB, 8).result
             large[(provider, client)] = r.bandwidth_gib
             print(f"  {provider:4s} / {client:4s}: {r.bandwidth_gib:6.2f} GiB/s")
 
@@ -26,7 +26,8 @@ def main() -> None:
     small = {}
     for provider in ["tcp", "rdma"]:
         for client in ["host", "dpu"]:
-            r = run_fig5_cell(provider, client, "randread", 4 * KIB, 16)
+            r = run_fig5_cell(provider, client, "randread", 4 * KIB,
+                              16).result
             small[(provider, client)] = r.kiops
             print(f"  {provider:4s} / {client:4s}: {r.kiops:7.1f} K IOPS")
 

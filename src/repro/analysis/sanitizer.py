@@ -101,12 +101,11 @@ def build_record(
     question is whether the record agrees.
     """
     from repro.bench import ledger
-    from repro.bench.runner import run_fig5_doctored
+    from repro.bench.runner import run_fig5_cell
 
-    run = run_fig5_doctored(
+    run = run_fig5_cell(
         transport, client, rw, bs, numjobs,
-        runtime=runtime, sample_every=20, observe_sampler=False,
-        tie_seed=tie_seed)
+        runtime=runtime, sample_every=20, waits=True, tie_seed=tie_seed)
     config = {
         "experiment": "fig5", "transport": transport, "client": client,
         "rw": rw, "bs": bs, "numjobs": numjobs, "runtime": runtime,

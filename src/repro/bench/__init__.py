@@ -1,9 +1,10 @@
 """Benchmark harness: experiment builders, sweeps, and report rendering.
 
 * :mod:`repro.bench.runner` — one builder per paper experiment (local FIO,
-  remote SPDK, end-to-end DFS/ROS2) plus sweep drivers.  Every cell of
-  every figure builds a fresh simulated testbed, so cells are independent
-  and reproducible.
+  remote SPDK, end-to-end DFS/ROS2); every Fig. 5 cell, bare or
+  instrumented, goes through ``run_fig5_cell`` and returns a ``Fig5Run``.
+  Every cell of every figure builds a fresh simulated testbed, so cells
+  are independent and reproducible.
 * :mod:`repro.bench.report` — ASCII tables, heatmaps and CSV output that
   mirror how the paper presents each figure.
 * :mod:`repro.bench.calibration` — the paper's reported numbers/bands and
@@ -15,6 +16,7 @@
 from repro.bench.calibration import PAPER_BANDS, ShapeCheck, check_band
 from repro.bench.report import Table, format_heatmap, format_rate, write_csv
 from repro.bench.runner import (
+    Fig5Run,
     run_fig3_cell,
     run_fig4_cell,
     run_fig5_cell,
@@ -22,6 +24,7 @@ from repro.bench.runner import (
 )
 
 __all__ = [
+    "Fig5Run",
     "PAPER_BANDS",
     "ShapeCheck",
     "Table",

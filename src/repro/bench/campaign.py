@@ -188,7 +188,11 @@ def normalize_cell(cell: dict) -> dict:
     if experiment not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}; "
                          f"expected one of {_EXPERIMENTS}")
-    from repro.bench.runner import default_iodepth
+    from repro.bench.runner import (
+        default_iodepth,
+        default_numjobs,
+        default_runtime,
+    )
 
     bs = _parse_size(cell.get("bs", MIB if experiment == "fig3" else 4096))
     config: dict
@@ -196,10 +200,10 @@ def normalize_cell(cell: dict) -> dict:
         quick = bool(cell.get("quick", True))
         numjobs = cell.get("numjobs")
         if numjobs is None:
-            numjobs = 8 if bs >= MIB else 16
+            numjobs = default_numjobs(bs)
         runtime = cell.get("runtime")
         if runtime is None:
-            runtime = 0.02 if quick else (0.15 if bs >= MIB else 0.03)
+            runtime = default_runtime(bs, quick=quick)
         config = {
             "experiment": experiment,
             "transport": cell.get("transport", "tcp"),
@@ -305,46 +309,35 @@ def execute_cell(config: dict) -> dict:
     worker ran them or when they finished.
     """
     experiment = config["experiment"]
-    if experiment == "chaos":
-        from repro.bench.chaos import (
-            DEFAULT_MIN_GOODPUT,
-            DEFAULT_P999_MAX,
-            chaos_sections,
-        )
-        from repro.bench.runner import run_fig5_chaos
+    if experiment in ("fig5", "chaos"):
+        from repro.bench.runner import run_fig5_cell
         from repro.faults.plan import FaultPlan
 
-        plan = FaultPlan.from_config(config["faults"])
-        chaos = run_fig5_chaos(
-            config["transport"], config["client"], config["rw"],
-            config["bs"], config["numjobs"], plan, n_ssds=config["ssds"],
-            iodepth=config["iodepth"], runtime=config["runtime"],
-            sample_every=config["sample_every"],
-            seed=config.get("seed"), n_targets=config.get("targets"),
-        )
-        run = chaos.run
-        sections = chaos_sections(
-            run.result, chaos.stats, plan, tracer=run.tracer,
-            min_goodput=config.get("min_goodput", DEFAULT_MIN_GOODPUT),
-            p999_max=config.get("p999_max", DEFAULT_P999_MAX))
-        return lg.make_run_record(
-            run.result, run.collector, run.tracer, config=config,
-            label=cell_label(config), kind="chaos",
-            extra_sections={"chaos": sections})
-    if experiment == "fig5":
-        from repro.bench.runner import run_fig5_doctored
-
-        run = run_fig5_doctored(
+        plan = (FaultPlan.from_config(config["faults"])
+                if experiment == "chaos" else None)
+        run = run_fig5_cell(
             config["transport"], config["client"], config["rw"],
             config["bs"], config["numjobs"], n_ssds=config["ssds"],
             iodepth=config["iodepth"], runtime=config["runtime"],
-            sample_every=config["sample_every"],
-            observe_sampler=not config["quick"],
             seed=config.get("seed"), n_targets=config.get("targets"),
+            sample_every=config["sample_every"], waits=True,
+            sampler=not config["quick"], fault_plan=plan,
         )
+        kind, extra = "doctor", None
+        if plan is not None:
+            from repro.bench.chaos import (
+                DEFAULT_MIN_GOODPUT,
+                DEFAULT_P999_MAX,
+                chaos_sections,
+            )
+
+            kind, extra = "chaos", {"chaos": chaos_sections(
+                run.result, run.fault_stats, plan, tracer=run.tracer,
+                min_goodput=config.get("min_goodput", DEFAULT_MIN_GOODPUT),
+                p999_max=config.get("p999_max", DEFAULT_P999_MAX))}
         return lg.make_run_record(
             run.result, run.collector, run.tracer, config=config,
-            label=cell_label(config), kind="doctor")
+            label=cell_label(config), kind=kind, extra_sections=extra)
     if experiment == "fig3":
         from repro.bench.runner import run_fig3_cell
 

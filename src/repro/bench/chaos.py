@@ -1,11 +1,12 @@
 """The chaos harness: availability verdicts for runs under fault plans.
 
-A chaos run is a doctored Fig. 5 cell with a
-:class:`~repro.faults.plan.FaultPlan` installed and the event heap
-drained to empty afterwards (see
-:func:`~repro.bench.runner.run_fig5_chaos`).  This module reduces one
-such run into a ``repro-chaos-v1`` verdict document asserting the
-properties the paper's availability story rests on:
+A chaos run is a Fig. 5 cell with the wait tracer and a
+:class:`~repro.faults.plan.FaultPlan` attached, so the event heap is
+drained to empty afterwards (``run_fig5_cell(..., waits=True,
+fault_plan=plan)``, see :func:`~repro.bench.runner.run_fig5_cell`).
+This module reduces one such run into a ``repro-chaos-v1`` verdict
+document asserting the properties the paper's availability story rests
+on:
 
 * **conservation** — every submitted operation either completed or
   failed with an error; nothing was lost in a retry loop or a flushed
@@ -134,17 +135,17 @@ def chaos_sections(
     return sections
 
 
-def make_chaos_report(chaos_run, config: dict, label: str = "",
+def make_chaos_report(run, plan, config: dict, label: str = "",
                       min_goodput: float = DEFAULT_MIN_GOODPUT,
                       p999_max: Optional[float] = DEFAULT_P999_MAX) -> dict:
-    """Reduce a :class:`~repro.bench.runner.ChaosRun` into the verdict doc."""
-    run = chaos_run.run
+    """Reduce a :class:`~repro.bench.runner.Fig5Run` made under ``plan``
+    into the verdict doc."""
     doc = {
         "format": FORMAT,
         "label": label,
         "config": dict(config),
         "result": run.result.to_dict(),
-        **chaos_sections(run.result, chaos_run.stats, chaos_run.plan,
+        **chaos_sections(run.result, run.fault_stats, plan,
                          tracer=run.tracer, min_goodput=min_goodput,
                          p999_max=p999_max),
     }

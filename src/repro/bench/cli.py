@@ -74,11 +74,11 @@ from typing import Optional
 
 from repro.bench.runner import (
     default_iodepth,
+    default_numjobs,
+    default_runtime,
     run_fig3_cell,
     run_fig4_cell,
     run_fig5_cell,
-    run_fig5_observed,
-    run_fig5_traced,
 )
 from repro.net.fabric import list_providers
 from repro.workload.fio import FioJobSpec, FioResult
@@ -601,23 +601,18 @@ def _run_perf(args) -> int:
 def _run_trace(args) -> int:
     from repro.sim.spans import LatencyBreakdown, critical_path
 
-    numjobs = args.jobs
-    if numjobs is None:
-        numjobs = 8 if args.bs >= 1024**2 else 16
+    numjobs = (args.jobs if args.jobs is not None
+               else default_numjobs(args.bs))
     label = (f"trace {args.transport}/{args.client} {args.rw} bs={args.bs} "
              f"jobs={numjobs} ssds={args.ssds}")
+    run = run_fig5_cell(
+        args.transport, args.client, args.rw, args.bs, numjobs,
+        n_ssds=args.ssds, runtime=args.runtime, sample_every=args.sample,
+        sampler=bool(args.perfetto),
+    )
+    result, collector, system = run.result, run.collector, run.system
     if args.perfetto:
-        run = run_fig5_observed(
-            args.transport, args.client, args.rw, args.bs, numjobs,
-            n_ssds=args.ssds, runtime=args.runtime, sample_every=args.sample,
-        )
-        result, collector, system = run.result, run.collector, run.system
         _write_perfetto(args.perfetto, collector, run.sampler, label)
-    else:
-        result, collector, system = run_fig5_traced(
-            args.transport, args.client, args.rw, args.bs, numjobs,
-            n_ssds=args.ssds, runtime=args.runtime, sample_every=args.sample,
-        )
     breakdown = LatencyBreakdown(collector.spans)
 
     if args.json:
@@ -712,7 +707,6 @@ def _write_diff_outputs(base: dict, current: dict, dd, json_out=None,
 
 
 def _run_doctor(args) -> int:
-    from repro.bench.runner import run_fig5_doctored
     from repro.sim.doctor import diagnose, parse_slo
 
     # Validate SLO strings *before* burning a simulation run on them.
@@ -746,18 +740,16 @@ def _run_doctor(args) -> int:
                       file=sys.stderr)
                 return 2
 
-    numjobs = args.jobs
-    if numjobs is None:
-        numjobs = 8 if args.bs >= 1024**2 else 16
-    runtime = args.runtime
-    if runtime is None and args.quick:
-        runtime = 0.02
+    numjobs = (args.jobs if args.jobs is not None
+               else default_numjobs(args.bs))
     label = (f"doctor {args.transport}/{args.client} {args.rw} bs={args.bs} "
              f"jobs={numjobs} ssds={args.ssds}")
-    run = run_fig5_doctored(
+    run = run_fig5_cell(
         args.transport, args.client, args.rw, args.bs, numjobs,
-        n_ssds=args.ssds, runtime=runtime, sample_every=args.sample,
-        observe_sampler=not args.quick,
+        n_ssds=args.ssds,
+        runtime=(args.runtime if args.runtime is not None
+                 else default_runtime(args.bs, quick=args.quick)),
+        sample_every=args.sample, waits=True, sampler=not args.quick,
     )
     littles = run.sampler.littles_law() if run.sampler is not None else None
     diag = diagnose(run.result, run.collector, run.tracer,
@@ -835,16 +827,13 @@ def _run_doctor(args) -> int:
 
 def _run_chaos(args) -> int:
     from repro.bench import chaos as ch
-    from repro.bench.runner import run_fig5_chaos
     from repro.faults.plan import FaultPlan, parse_fault_spec
     from repro.faults.retry import RetryPolicy
 
-    numjobs = args.jobs
-    if numjobs is None:
-        numjobs = 8 if args.bs >= 1024**2 else 16
-    runtime = args.runtime
-    if runtime is None:
-        runtime = 0.15 if args.bs >= 1024**2 else 0.03
+    numjobs = (args.jobs if args.jobs is not None
+               else default_numjobs(args.bs))
+    runtime = (args.runtime if args.runtime is not None
+               else default_runtime(args.bs))
     if args.fault:
         try:
             events = tuple(parse_fault_spec(s) for s in args.fault)
@@ -858,22 +847,23 @@ def _run_chaos(args) -> int:
     label = (f"chaos {args.transport}/{args.client} {args.rw} bs={args.bs} "
              f"jobs={numjobs} ssds={args.ssds}")
 
-    run = run_fig5_chaos(
-        args.transport, args.client, args.rw, args.bs, numjobs, plan,
+    run = run_fig5_cell(
+        args.transport, args.client, args.rw, args.bs, numjobs,
         n_ssds=args.ssds, runtime=runtime, sample_every=args.sample,
+        waits=True, fault_plan=plan,
     )
-    config = _fig5_run_config(args.transport, args.client, run.run.spec,
+    config = _fig5_run_config(args.transport, args.client, run.spec,
                               args.ssds, args.sample)
     config["experiment"] = "chaos"
     config["faults"] = plan.to_config()
     doc = ch.make_chaos_report(
-        run, config, label=label,
+        run, plan, config, label=label,
         min_goodput=(args.min_goodput if args.min_goodput is not None
                      else ch.DEFAULT_MIN_GOODPUT),
         p999_max=(args.p999_max if args.p999_max is not None
                   else ch.DEFAULT_P999_MAX))
 
-    print(f"{label}: {_report(run.run.result)}")
+    print(f"{label}: {_report(run.result)}")
     print(ch.render_chaos(doc))
     if args.json_out:
         import json
@@ -885,7 +875,7 @@ def _run_chaos(args) -> int:
     if args.wait_flame:
         from repro.sim.flame import fold_waits, write_collapsed
 
-        folded = fold_waits(run.run.collector.spans, run.run.tracer.records)
+        folded = fold_waits(run.collector.spans, run.tracer.records)
         write_collapsed(args.wait_flame, folded)
         print(f"wrote wait flamegraph {args.wait_flame} "
               f"({len(folded)} stacks)")
@@ -897,7 +887,7 @@ def _run_chaos(args) -> int:
                     ("faults", "recovery", "conservation", "availability",
                      "checks", "ok", "fault_blame") if k in doc}
         record = lg.make_run_record(
-            run.run.result, run.run.collector, run.run.tracer,
+            run.result, run.collector, run.tracer,
             config=config, label=label, kind="chaos",
             git_sha=_git_sha(args), created=_now_iso(),
             code_fingerprint=code_fingerprint(),
@@ -1108,14 +1098,13 @@ def main(argv: Optional[list] = None) -> int:
                 return 2
             from repro.bench import ledger as lg
             from repro.bench.campaign import code_fingerprint, find_cached
-            from repro.bench.runner import run_fig5_doctored
 
             fingerprint = code_fingerprint()
             probe_spec = FioJobSpec(
                 rw=args.rw, bs=args.bs, numjobs=args.jobs,
                 iodepth=default_iodepth(args.bs),
-                runtime=args.runtime if args.runtime is not None
-                else (0.15 if args.bs >= 1024**2 else 0.03))
+                runtime=(args.runtime if args.runtime is not None
+                         else default_runtime(args.bs)))
             config = _fig5_run_config(args.transport, args.client,
                                       probe_spec, args.ssds, args.sample)
             cached = find_cached(config, fingerprint, _ledger_dir(args))
@@ -1125,11 +1114,10 @@ def main(argv: Optional[list] = None) -> int:
                 print(f"{label}: cached (run {cached['run_id']}, "
                       f"fingerprint {fingerprint})")
                 return 0
-            run = run_fig5_doctored(args.transport, args.client, args.rw,
-                                    args.bs, args.jobs, n_ssds=args.ssds,
-                                    runtime=args.runtime,
-                                    sample_every=args.sample,
-                                    observe_sampler=False)
+            run = run_fig5_cell(args.transport, args.client, args.rw,
+                                args.bs, args.jobs, n_ssds=args.ssds,
+                                runtime=args.runtime,
+                                sample_every=args.sample, waits=True)
             print(f"{label}: {_report(run.result)}")
             config = _fig5_run_config(args.transport, args.client, run.spec,
                                       args.ssds, args.sample)
@@ -1142,46 +1130,34 @@ def main(argv: Optional[list] = None) -> int:
             path = lg.save_run(record, _ledger_dir(args))
             print(f"ledger: recorded {record['run_id']} -> {path}")
             return 0
-        if args.perfetto or args.json_out:
-            # Full observability stack: continuous telemetry + tracing.
-            run = run_fig5_observed(args.transport, args.client, args.rw,
-                                    args.bs, args.jobs, n_ssds=args.ssds,
-                                    runtime=args.runtime,
-                                    sample_every=args.sample)
-            print(f"{label}: {_report(run.result)}")
-            if args.perfetto:
-                _write_perfetto(args.perfetto, run.collector, run.sampler,
-                                label)
-            if args.json_out:
-                import json
+        observed = bool(args.perfetto or args.json_out)
+        # --perfetto/--json-out: full observability stack (continuous
+        # telemetry + tracing); otherwise the bare cell.
+        run = run_fig5_cell(args.transport, args.client, args.rw, args.bs,
+                            args.jobs, n_ssds=args.ssds, runtime=args.runtime,
+                            sample_every=args.sample if observed else None,
+                            sampler=observed)
+        print(f"{label}: {_report(run.result)}")
+        if args.perfetto:
+            _write_perfetto(args.perfetto, run.collector, run.sampler, label)
+        if args.json_out:
+            import json
 
-                with open(args.json_out, "w") as fh:
-                    json.dump(_fig5_metrics_doc(run, label), fh,
-                              indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"wrote metrics {args.json_out}")
-            if args.telemetry:
-                print("\n" + run.timeline.report.render())
-                print("\n" + run.timeline.render())
-            return 0
-        if args.telemetry:
-            # Keep the system around so we can snapshot its utilization.
-            from repro.bench.runner import _build_fig5, run_ros2_fio
+            with open(args.json_out, "w") as fh:
+                json.dump(_fig5_metrics_doc(run, label), fh,
+                          indent=2, sort_keys=True)
+                fh.write("\n")
+            print(f"wrote metrics {args.json_out}")
+        if args.telemetry and observed:
+            print("\n" + run.timeline.report.render())
+            print("\n" + run.timeline.render())
+        elif args.telemetry:
             from repro.core.telemetry import snapshot
 
-            system, spec = _build_fig5(args.transport, args.client, args.rw,
-                                       args.bs, args.jobs, n_ssds=args.ssds,
-                                       runtime=args.runtime)
-            result = run_ros2_fio(system, spec)
-        else:
-            system = None
-            result = run_fig5_cell(args.transport, args.client, args.rw,
-                                   args.bs, args.jobs, n_ssds=args.ssds,
-                                   runtime=args.runtime)
+            print("\n" + snapshot(run.system).render())
+        return 0
 
     print(f"{label}: {_report(result)}")
-    if args.experiment == "fig5" and args.telemetry and system is not None:
-        print("\n" + snapshot(system).render())
     return 0
 
 

@@ -239,7 +239,7 @@ def bench_fig5_cells(cells: Optional[Dict[str, tuple]] = None,
     the *total* dispatched events over total completed IOs — it includes
     setup and prefill, so it is an upper bound on the steady-state cost.
     """
-    from repro.bench.runner import _build_fig5, run_ros2_fio
+    from repro.bench.runner import run_fig5_cell
 
     cells = FIG5_CELLS if cells is None else cells
     out = {}
@@ -248,13 +248,12 @@ def bench_fig5_cells(cells: Optional[Dict[str, tuple]] = None,
 
         def once(prov=prov, client=client, rw=rw, bs=bs, jobs=jobs,
                  runtime=runtime, stats=stats):
-            system, spec = _build_fig5(prov, client, rw, bs, jobs,
-                                       n_ssds=1, runtime=runtime)
-            result = run_ros2_fio(system, spec)
-            stats["events"] = system.env.events_processed
-            stats["recycled"] = system.env.timeouts_recycled
-            stats["total_ios"] = result.total_ios
-            return result
+            run = run_fig5_cell(prov, client, rw, bs, jobs, runtime=runtime)
+            env = run.system.env
+            stats["events"] = env.events_processed
+            stats["recycled"] = env.timeouts_recycled
+            stats["total_ios"] = run.result.total_ios
+            return run.result
 
         wall, _ = _min_wall(once, repeat, warmup)
         ios = stats["total_ios"]

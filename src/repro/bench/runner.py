@@ -1,23 +1,30 @@
 """Experiment builders: one function per paper-figure cell.
 
 Each call constructs a *fresh* simulated testbed, runs the FIO spec, and
-returns the measured :class:`~repro.workload.fio.FioResult` — cells of a
-sweep are completely independent, like separate runs on the physical
-testbed.
+returns the measured :class:`~repro.workload.fio.FioResult` (for Fig. 5,
+inside a :class:`Fig5Run`) — cells of a sweep are completely independent,
+like separate runs on the physical testbed.
 
 * :func:`run_fig3_cell` — local FIO / io_uring device baselines (Fig. 3).
 * :func:`run_fig4_cell` — remote SPDK NVMe-oF, TCP vs RDMA, pinned core
   counts on both ends (Fig. 4).
-* :func:`run_fig5_cell` — end-to-end ROS2/DFS, host vs DPU client (Fig. 5).
+* :func:`run_fig5_cell` — end-to-end ROS2/DFS, host vs DPU client
+  (Fig. 5): the one entry point for every Fig. 5 cell, bare or with
+  spans, the wait tracer, the telemetry sampler or a fault plan attached.
+  It returns a :class:`Fig5Run` (result, system, spec and the attached
+  instruments).
 * :func:`run_ros2_fio` — the generic ROS2 runner the Fig. 5 cells and the
   ablation benches share (system bootstrap, file creation, pre-fill for
   reads, FIO drive).
+* :func:`default_iodepth`, :func:`default_numjobs`, :func:`default_runtime`
+  and :func:`default_file_size` — the per-block-size Fig. 5 defaults the
+  CLI and the campaign executor share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.core import Ros2Config, Ros2System
 from repro.hw.platform import make_paper_testbed
@@ -27,20 +34,22 @@ from repro.sim import Environment, Sampler, SpanCollector
 from repro.storage import BlockDevice, IoUringEngine, NvmfInitiator, NvmfTarget
 from repro.workload.fio import FioJobSpec, FioResult, run_fio
 
+if TYPE_CHECKING:
+    from repro.core.telemetry import SystemTimeline
+    from repro.faults.plan import FaultPlan, FaultStats
+    from repro.sim.waits import WaitTracer
+
 __all__ = [
     "run_fig3_cell",
     "run_fig4_cell",
     "run_fig5_cell",
-    "run_fig5_traced",
-    "run_fig5_observed",
-    "run_fig5_doctored",
-    "run_fig5_chaos",
     "doctor_stations",
-    "ObservedRun",
-    "DoctoredRun",
-    "ChaosRun",
+    "Fig5Run",
     "run_ros2_fio",
     "default_iodepth",
+    "default_numjobs",
+    "default_runtime",
+    "default_file_size",
 ]
 
 
@@ -48,6 +57,27 @@ def default_iodepth(bs: int) -> int:
     """The queue depths the paper's FIO configurations imply: deep queues
     for small blocks (IOPS tests), shallow for streaming."""
     return 16 if bs < 64 * 1024 else 8
+
+
+def default_numjobs(bs: int) -> int:
+    """Fig. 5 FIO numjobs: 8 streaming jobs at >= 1 MiB, 16 below."""
+    return 8 if bs >= MIB else 16
+
+
+def default_runtime(bs: int, quick: bool = False) -> float:
+    """Fig. 5 measured window in simulated seconds.
+
+    ``quick`` is the CI window (``doctor --quick``, campaign cells);
+    otherwise large blocks get a longer window (see :func:`run_fig5_cell`).
+    """
+    if quick:
+        return 0.02
+    return 0.15 if bs >= MIB else 0.03
+
+
+def default_file_size(bs: int) -> int:
+    """Fig. 5 per-job file region (FIO ``size``)."""
+    return 64 * MIB if bs >= MIB else 48 * MIB
 
 
 def _seed_kwargs(seed: Optional[int]) -> dict:
@@ -242,167 +272,6 @@ def run_ros2_fio(
     return run_fio(env, adapter, spec, collector=collector)
 
 
-def _build_fig5(
-    provider: str,
-    client: str,
-    rw: str,
-    bs: int,
-    numjobs: int,
-    n_ssds: int = 1,
-    iodepth: Optional[int] = None,
-    runtime: Optional[float] = None,
-    seed: Optional[int] = None,
-    n_targets: Optional[int] = None,
-    tie_seed: Optional[int] = None,
-    fault_plan=None,
-) -> Tuple[Ros2System, FioJobSpec]:
-    """Assemble the Fig. 5 testbed (fresh environment) and its FIO spec.
-
-    ``tie_seed`` puts the kernel in race-sanitizer mode: same-time,
-    same-priority events pop in a seeded pseudo-random permutation
-    instead of FIFO (see :func:`repro.sim.core.tie_scramble`).
-
-    ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan`) is installed
-    *before* the system is built so every channel, engine and node
-    self-registers with the injector; :func:`~repro.workload.fio.run_fio`
-    arms it when the measured window opens.
-    """
-    env = Environment(tie_seed=tie_seed)
-    if fault_plan is not None:
-        fault_plan.install(env)
-    system = Ros2System(env, Ros2Config(
-        transport=provider, client=client, n_ssds=n_ssds,
-        n_targets=n_targets, data_mode=False,
-    ))
-    if runtime is None:
-        runtime = 0.15 if bs >= MIB else 0.03
-    size = 64 * MIB if bs >= MIB else 48 * MIB
-    spec = FioJobSpec(
-        rw=rw, bs=bs, numjobs=numjobs,
-        iodepth=iodepth or default_iodepth(bs),
-        runtime=runtime, ramp_time=runtime / 3, size=size,
-        **_seed_kwargs(seed),
-    )
-    return system, spec
-
-
-def run_fig5_cell(
-    provider: str,
-    client: str,
-    rw: str,
-    bs: int,
-    numjobs: int,
-    n_ssds: int = 1,
-    iodepth: Optional[int] = None,
-    runtime: Optional[float] = None,
-    collector: Optional[SpanCollector] = None,
-    seed: Optional[int] = None,
-    n_targets: Optional[int] = None,
-) -> FioResult:
-    """One point of Fig. 5: FIO/DFS end-to-end on the assembled ROS2 stack.
-
-    Large-block runs need a longer measured window: under the DPU's deep
-    RX queues, per-I/O latency reaches milliseconds and a too-short window
-    under-reports steady-state throughput.
-    """
-    system, spec = _build_fig5(provider, client, rw, bs, numjobs,
-                               n_ssds=n_ssds, iodepth=iodepth, runtime=runtime,
-                               seed=seed, n_targets=n_targets)
-    return run_ros2_fio(system, spec, collector=collector)
-
-
-def run_fig5_traced(
-    provider: str,
-    client: str,
-    rw: str,
-    bs: int,
-    numjobs: int,
-    n_ssds: int = 1,
-    iodepth: Optional[int] = None,
-    runtime: Optional[float] = None,
-    sample_every: int = 1,
-    seed: Optional[int] = None,
-) -> Tuple[FioResult, SpanCollector, Ros2System]:
-    """A Fig. 5 cell with request tracing attached.
-
-    Returns ``(result, collector, system)`` so the caller can render the
-    per-stage latency breakdown, extract critical paths, and snapshot the
-    system telemetry of the very run that produced the numbers.
-    """
-    system, spec = _build_fig5(provider, client, rw, bs, numjobs,
-                               n_ssds=n_ssds, iodepth=iodepth, runtime=runtime,
-                               seed=seed)
-    collector = SpanCollector(system.env, sample_every=sample_every)
-    result = run_ros2_fio(system, spec, collector=collector)
-    return result, collector, system
-
-
-@dataclass
-class ObservedRun:
-    """Everything a fully-instrumented Fig. 5 cell produces.
-
-    ``timeline`` is the :class:`~repro.core.telemetry.SystemTimeline`
-    (snapshot + sampled series + phase attribution); ``collector`` holds
-    the sampled request spans; both feed the Perfetto exporter.
-    """
-
-    result: FioResult
-    collector: Optional[SpanCollector]
-    sampler: Sampler
-    timeline: "object"  # SystemTimeline (avoid a bench->core type cycle here)
-    system: Ros2System
-    spec: FioJobSpec
-
-
-def run_fig5_observed(
-    provider: str,
-    client: str,
-    rw: str,
-    bs: int,
-    numjobs: int,
-    n_ssds: int = 1,
-    iodepth: Optional[int] = None,
-    runtime: Optional[float] = None,
-    sample_every: Optional[int] = 20,
-    sample_interval: Optional[float] = None,
-    drain: Optional[float] = None,
-    seed: Optional[int] = None,
-) -> ObservedRun:
-    """A Fig. 5 cell with the full observability stack attached.
-
-    Continuous telemetry (the standard probe set) samples from *t = 0*,
-    so the timeline covers setup/prefill (warmup), the measured window
-    (steady state), and — after the FIO stop flag — a ``drain`` window in
-    which in-flight operations complete and queues empty.  Request spans
-    are sampled 1-in-``sample_every`` (``None`` disables tracing).
-
-    ``sample_interval`` defaults to 1/400 of the measured FIO window, a
-    resolution at which the Little's-law self-check holds within a few
-    percent while the bounded series still cover multi-second runs.
-    """
-    from repro.core.telemetry import SystemTimeline, observe, snapshot
-
-    system, spec = _build_fig5(provider, client, rw, bs, numjobs,
-                               n_ssds=n_ssds, iodepth=iodepth, runtime=runtime,
-                               seed=seed)
-    if sample_interval is None:
-        sample_interval = (spec.ramp_time + spec.runtime) / 400.0
-    sampler = observe(system, interval=sample_interval)
-    collector = (SpanCollector(system.env, sample_every=sample_every)
-                 if sample_every else None)
-    result = run_ros2_fio(system, spec, collector=collector)
-    t_end = system.env.now
-    if drain is None:
-        drain = spec.runtime * 0.25
-    if drain > 0:
-        system.env.run(until=t_end + drain)
-    sampler.stop()
-    timeline = SystemTimeline(snapshot(system), sampler)
-    timeline.set_phases(warmup_end=t_end - spec.runtime, steady_end=t_end)
-    return ObservedRun(result=result, collector=collector, sampler=sampler,
-                       timeline=timeline, system=system, spec=spec)
-
-
 def doctor_stations(system: Ros2System) -> list:
     """Independently-counted station occupancies for the utilization law.
 
@@ -451,129 +320,137 @@ def doctor_stations(system: Ros2System) -> list:
             for n, (b, c) in sorted(acc.items())]
 
 
-@dataclass
-class DoctoredRun:
-    """A fully-diagnosed Fig. 5 cell: measurements plus the doctor's inputs.
+#: Telemetry sampler ticks per FIO window (ramp + measured), a resolution
+#: at which the Little's-law self-check holds within a few percent while
+#: the bounded series still cover multi-second runs.
+SAMPLER_TICKS_PER_WINDOW = 400
 
-    ``tracer`` holds the wait-cause records (installed at *t = 0*, before
-    prefill, so its per-resource service aggregates cover the exact same
-    window as each station's ``busy_time`` counter); ``stations`` is the
-    :func:`doctor_stations` walk taken after the run.
+#: Simulated time run after the FIO stop flag when the sampler is
+#: attached, as a fraction of the measured window: in-flight operations
+#: complete and queues empty, giving the timeline its ``drain`` phase.
+DRAIN_FRACTION = 0.25
+
+
+@dataclass
+class Fig5Run:
+    """One Fig. 5 cell: its measurements plus whatever was attached.
+
+    ``collector`` holds the sampled request spans; ``tracer`` the
+    :class:`~repro.sim.waits.WaitTracer` records and ``stations`` the
+    :func:`doctor_stations` walk (both with ``waits=True``); ``sampler``
+    and ``timeline`` the continuous telemetry; ``fault_stats`` the
+    injector's :class:`~repro.faults.plan.FaultStats` after the drain to
+    an empty heap.  Instruments that were not attached are ``None``.
     """
 
     result: FioResult
-    collector: SpanCollector
-    tracer: "object"  # WaitTracer (avoid a bench->sim.waits type cycle here)
-    sampler: Optional[Sampler]
-    stations: list
     system: Ros2System
     spec: FioJobSpec
+    collector: Optional[SpanCollector] = None
+    tracer: Optional[WaitTracer] = None
+    sampler: Optional[Sampler] = None
+    timeline: Optional[SystemTimeline] = None
+    stations: Optional[list] = None
+    fault_stats: Optional[FaultStats] = None
 
 
-def run_fig5_doctored(
+def run_fig5_cell(
     provider: str,
     client: str,
     rw: str,
     bs: int,
     numjobs: int,
+    *,
     n_ssds: int = 1,
     iodepth: Optional[int] = None,
     runtime: Optional[float] = None,
-    sample_every: int = 20,
-    observe_sampler: bool = True,
     seed: Optional[int] = None,
     n_targets: Optional[int] = None,
+    sample_every: Optional[int] = None,
+    waits: bool = False,
+    sampler: bool = False,
+    fault_plan: Optional[FaultPlan] = None,
     tie_seed: Optional[int] = None,
-    fault_plan=None,
-) -> DoctoredRun:
-    """A Fig. 5 cell instrumented for the bottleneck doctor.
+) -> Fig5Run:
+    """One point of Fig. 5: FIO/DFS end-to-end on a fresh ROS2 testbed.
 
-    Installs a :class:`~repro.sim.waits.WaitTracer` before anything runs
-    (so tracer aggregates and station busy counters see identical
-    windows), records per-operation latency for the SLO gates, and
-    optionally attaches the standard sampler so Little's law can be
-    checked too (``observe_sampler=False`` skips it for quick CI runs).
+    Large-block runs need a longer measured window (:func:`default_runtime`):
+    under the DPU's deep RX queues, per-I/O latency reaches milliseconds
+    and a too-short window under-reports steady-state throughput.
+
+    Everything below is attached only on request; spans, the wait tracer
+    and the sampler never change the simulated result:
+
+    * ``sample_every`` — request spans, 1-in-N (``None``: no tracing);
+    * ``waits`` — the bottleneck doctor's inputs: a
+      :class:`~repro.sim.waits.WaitTracer` installed before anything runs
+      (so its aggregates and each station's ``busy_time`` cover the same
+      window), per-operation latency for the SLO gates, and the
+      :func:`doctor_stations` walk taken at the end;
+    * ``sampler`` — the standard telemetry probes, sampling from *t = 0*;
+      after the FIO stop flag the run continues for
+      ``DRAIN_FRACTION x runtime`` so the
+      :class:`~repro.core.telemetry.SystemTimeline` covers warmup, steady
+      state and drain;
+    * ``fault_plan`` — a :class:`~repro.faults.plan.FaultPlan` installed
+      before the system is built (every channel, engine and node
+      self-registers with the injector; :func:`~repro.workload.fio.run_fio`
+      arms it when the measured window opens).  Afterwards the event heap
+      is drained *to empty*, so every in-flight operation — including ones
+      mid-retry-backoff — either completes or fails and conservation is
+      exact;
+    * ``tie_seed`` — race-sanitizer mode: same-time, same-priority events
+      pop in a seeded pseudo-random permutation instead of FIFO (see
+      :func:`repro.sim.core.tie_scramble`).
     """
-    import dataclasses
+    env = Environment(tie_seed=tie_seed)
+    injector = fault_plan.install(env) if fault_plan is not None else None
+    system = Ros2System(env, Ros2Config(
+        transport=provider, client=client, n_ssds=n_ssds,
+        n_targets=n_targets, data_mode=False,
+    ))
+    if runtime is None:
+        runtime = default_runtime(bs)
+    spec = FioJobSpec(
+        rw=rw, bs=bs, numjobs=numjobs,
+        iodepth=iodepth or default_iodepth(bs),
+        runtime=runtime, ramp_time=runtime / 3, size=default_file_size(bs),
+        record_latency=waits,
+        **_seed_kwargs(seed),
+    )
+    tracer = None
+    if waits:
+        from repro.sim.waits import WaitTracer
 
-    from repro.sim.waits import WaitTracer
-
-    system, spec = _build_fig5(provider, client, rw, bs, numjobs,
-                               n_ssds=n_ssds, iodepth=iodepth, runtime=runtime,
-                               seed=seed, n_targets=n_targets,
-                               tie_seed=tie_seed, fault_plan=fault_plan)
-    spec = dataclasses.replace(spec, record_latency=True)
-    tracer = WaitTracer(system.env)
-    tracer.install()
-    sampler = None
-    if observe_sampler:
+        tracer = WaitTracer(env)
+        tracer.install()
+    probes = None
+    if sampler:
         from repro.core.telemetry import observe
 
-        sampler = observe(system,
-                          interval=(spec.ramp_time + spec.runtime) / 400.0)
-    collector = SpanCollector(system.env, sample_every=sample_every)
-    result = run_ros2_fio(system, spec, collector=collector)
-    if sampler is not None:
-        sampler.stop()
-    stations = doctor_stations(system)
-    return DoctoredRun(result=result, collector=collector, tracer=tracer,
-                       sampler=sampler, stations=stations, system=system,
-                       spec=spec)
+        probes = observe(system, interval=(spec.ramp_time + spec.runtime)
+                         / SAMPLER_TICKS_PER_WINDOW)
+    collector = (SpanCollector(env, sample_every=sample_every)
+                 if sample_every else None)
+    run = Fig5Run(result=run_ros2_fio(system, spec, collector=collector),
+                  system=system, spec=spec, collector=collector,
+                  tracer=tracer, sampler=probes)
+    if probes is not None:
+        from repro.core.telemetry import SystemTimeline, snapshot
 
-
-# ---------------------------------------------------------------------------
-# Chaos — Fig. 5 cells under a fault plan
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ChaosRun:
-    """A doctored Fig. 5 cell run under fault injection, fully drained.
-
-    ``stats`` is the injector's :class:`~repro.faults.plan.FaultStats`
-    after every lane exited, so conservation (``submitted == completed +
-    failed``) holds by construction if no operation was lost.
-    """
-
-    run: DoctoredRun
-    plan: "object"   # FaultPlan (avoid a bench->faults type cycle here)
-    stats: "object"  # FaultStats
-
-
-def run_fig5_chaos(
-    provider: str,
-    client: str,
-    rw: str,
-    bs: int,
-    numjobs: int,
-    fault_plan,
-    n_ssds: int = 1,
-    iodepth: Optional[int] = None,
-    runtime: Optional[float] = None,
-    sample_every: int = 20,
-    seed: Optional[int] = None,
-    n_targets: Optional[int] = None,
-    tie_seed: Optional[int] = None,
-) -> ChaosRun:
-    """A Fig. 5 cell with a :class:`~repro.faults.plan.FaultPlan` active.
-
-    Exactly :func:`run_fig5_doctored` plus: the plan is installed before
-    the system is built, and after FIO raises its stop flag the event
-    heap is drained *to empty* so every in-flight operation — including
-    ones mid-retry-backoff — either completes or fails.  That makes the
-    conservation check exact rather than a race against a drain window.
-    """
-    run = run_fig5_doctored(
-        provider, client, rw, bs, numjobs,
-        n_ssds=n_ssds, iodepth=iodepth, runtime=runtime,
-        sample_every=sample_every, observe_sampler=False,
-        seed=seed, n_targets=n_targets, tie_seed=tie_seed,
-        fault_plan=fault_plan,
-    )
-    env = run.system.env
-    # Drain: lanes saw the stop flag but may be parked in backoff sleeps
-    # or deadline waits; servers park on empty stores (no heap entries),
-    # so running the heap dry terminates and settles every lane.
-    env.run()
-    fx = env._faults
-    fx.stats.degraded_reads = run.system.engine.degraded_reads
-    return ChaosRun(run=run, plan=fault_plan, stats=fx.stats)
+        t_end = env.now
+        env.run(until=t_end + spec.runtime * DRAIN_FRACTION)
+        probes.stop()
+        run.timeline = SystemTimeline(snapshot(system), probes)
+        run.timeline.set_phases(warmup_end=t_end - spec.runtime,
+                                steady_end=t_end)
+    if injector is not None:
+        # Lanes saw the stop flag but may be parked in backoff sleeps or
+        # deadline waits; servers park on empty stores (no heap entries),
+        # so running the heap dry terminates and settles every lane.
+        env.run()
+        injector.stats.degraded_reads = system.engine.degraded_reads
+        run.fault_stats = injector.stats
+    if waits:
+        run.stations = doctor_stations(system)
+    return run

@@ -14,16 +14,15 @@ import json
 import pytest
 
 from repro.bench.cli import main
-from repro.bench.runner import run_fig5_observed
+from repro.bench.runner import run_fig5_cell
 from repro.sim.chrometrace import build_chrome_trace, validate_chrome_trace
-from repro.sim.timeseries import UTILIZATION
 
 
 @pytest.fixture(scope="module")
 def observed():
     """One instrumented TCP/DPU 4 KiB randread cell, shared by the tests."""
-    return run_fig5_observed("tcp", "dpu", "randread", 4096, 16,
-                             runtime=0.02, sample_every=20)
+    return run_fig5_cell("tcp", "dpu", "randread", 4096, 16,
+                         runtime=0.02, sample_every=20, sampler=True)
 
 
 def test_littles_law_holds_at_every_station(observed):
@@ -111,9 +110,9 @@ def test_cli_end_to_end_perfetto_json_and_gate(tmp_path, capsys):
 
 def test_determinism_identical_runs_identical_telemetry():
     """The same cell twice: bit-identical results *and* telemetry."""
-    a = run_fig5_observed("tcp", "dpu", "randread", 4096, 4,
-                          runtime=0.005, sample_every=None)
-    b = run_fig5_observed("tcp", "dpu", "randread", 4096, 4,
-                          runtime=0.005, sample_every=None)
+    a = run_fig5_cell("tcp", "dpu", "randread", 4096, 4,
+                      runtime=0.005, sampler=True)
+    b = run_fig5_cell("tcp", "dpu", "randread", 4096, 4,
+                      runtime=0.005, sampler=True)
     assert a.result.to_dict() == b.result.to_dict()
     assert a.sampler.to_dict() == b.sampler.to_dict()

@@ -110,10 +110,10 @@ def test_fig4_cell_smoke():
 
 
 def test_fig5_cell_smoke():
-    r = run_fig5_cell("rdma", "host", "read", MIB, 2, runtime=0.05)
+    r = run_fig5_cell("rdma", "host", "read", MIB, 2, runtime=0.05).result
     assert PAPER_BANDS["fig5.rdma.read.1mib.1ssd"].holds(r.bandwidth)
 
 
 def test_fig5_dpu_tcp_rx_bottleneck_cell():
-    r = run_fig5_cell("tcp", "dpu", "read", MIB, 8, runtime=0.1)
+    r = run_fig5_cell("tcp", "dpu", "read", MIB, 8, runtime=0.1).result
     assert PAPER_BANDS["fig5.dpu.tcp.read.1mib.1ssd"].holds(r.bandwidth)

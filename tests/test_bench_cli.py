@@ -16,12 +16,14 @@ RDMA_4K = "fig5-rdma-dpu-randread-4096"
 @pytest.fixture
 def no_sim(monkeypatch):
     """Fail the test if a fast-path error still burns a simulation run."""
+    import repro.bench.cli as cli
     import repro.bench.runner as runner
 
     def boom(*a, **kw):
         raise AssertionError("simulation ran despite fail-fast error")
 
-    monkeypatch.setattr(runner, "run_fig5_doctored", boom)
+    monkeypatch.setattr(runner, "run_fig5_cell", boom)
+    monkeypatch.setattr(cli, "run_fig5_cell", boom)
 
 
 def test_parse_size_suffixes():
@@ -222,3 +224,34 @@ class TestCellRefsViaCli:
         assert main(["doctor", "--quick", "--against", "cell:rdma",
                      "--ledger-dir", LEDGER_DIR]) == 2
         assert "key=value" in capsys.readouterr().err
+
+
+class TestFig5CellBranches:
+    """Every CLI branch that builds a Fig. 5 cell, end to end on a tiny cell."""
+
+    CELL = ["--transport", "tcp", "--client", "dpu", "--rw", "randread",
+            "--bs", "4k", "--jobs", "4", "--runtime", "0.004"]
+
+    def test_fig5_telemetry(self, capsys):
+        assert main(["fig5", *self.CELL, "--telemetry"]) == 0
+        assert "fig5 tcp/dpu" in capsys.readouterr().out
+
+    def test_fig5_json_out(self, capsys, tmp_path):
+        path = tmp_path / "results.json"
+        assert main(["fig5", *self.CELL, "--json-out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["format"] == "repro-fig5-v1"
+        assert doc["result"]["iops"] > 0
+
+    def test_trace_perfetto(self, capsys, tmp_path):
+        from repro.sim.chrometrace import validate_chrome_trace
+
+        path = tmp_path / "trace.json"
+        assert main(["trace", *self.CELL, "--perfetto", str(path)]) == 0
+        assert "Latency breakdown" in capsys.readouterr().out
+        assert validate_chrome_trace(json.loads(path.read_text())) == []
+
+    def test_chaos_json_out(self, capsys, tmp_path):
+        path = tmp_path / "chaos.json"
+        assert main(["chaos", *self.CELL, "--json-out", str(path)]) == 0
+        assert json.loads(path.read_text())["format"] == "repro-chaos-v1"

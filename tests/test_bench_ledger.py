@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import ledger as lg
-from repro.bench.runner import run_fig5_doctored
+from repro.bench.runner import run_fig5_cell
 
 LEDGER_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                           "benchmarks", "ledger")
@@ -18,9 +18,8 @@ LEDGER_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
 @pytest.fixture(scope="module")
 def tiny_run():
     """The same deterministic miniature Fig. 5 cell the flame golden uses."""
-    return run_fig5_doctored("tcp", "dpu", "randread", 4096, 2,
-                             runtime=0.004, sample_every=4,
-                             observe_sampler=False)
+    return run_fig5_cell("tcp", "dpu", "randread", 4096, 2,
+                         runtime=0.004, sample_every=4, waits=True)
 
 
 @pytest.fixture(scope="module")

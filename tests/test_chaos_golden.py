@@ -22,7 +22,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "chaos_goldens",
 
 def build_golden_doc() -> dict:
     """Run the pinned scenario and reduce it to the golden sections."""
-    from repro.bench.runner import run_fig5_chaos
+    from repro.bench.runner import run_fig5_cell
     from repro.faults.plan import FaultEvent, FaultPlan
     from repro.sim.flame import fold_waits
 
@@ -30,9 +30,9 @@ def build_golden_doc() -> dict:
         FaultEvent(kind="qp_break", target="dpu.qp", at=0.005,
                    duration=0.001),
     ))
-    chaos = run_fig5_chaos("rdma", "dpu", "randread", 4096, 4, plan,
-                           runtime=0.01, sample_every=10)
-    run = chaos.run
+    run = run_fig5_cell("rdma", "dpu", "randread", 4096, 4,
+                        runtime=0.01, sample_every=10, waits=True,
+                        fault_plan=plan)
     fault_blame = {
         name: agg.to_dict()
         for name, agg in sorted(run.tracer.aggregates.items())
@@ -40,7 +40,7 @@ def build_golden_doc() -> dict:
     }
     return {
         "scenario": plan.to_config(),
-        "recovery": chaos.stats.to_dict(),
+        "recovery": run.fault_stats.to_dict(),
         "fault_blame": fault_blame,
         "flame_waits": dict(sorted(
             fold_waits(run.collector.spans, run.tracer.records).items())),

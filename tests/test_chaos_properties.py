@@ -48,18 +48,18 @@ events_strategy = st.lists(
 
 
 def run_cell(plan, transport="rdma", tie_seed=None):
-    from repro.bench.runner import run_fig5_chaos
+    from repro.bench.runner import run_fig5_cell
 
-    return run_fig5_chaos(transport, "dpu", "randread", 4096, 4, plan,
-                          runtime=_RUNTIME, sample_every=10,
-                          tie_seed=tie_seed)
+    return run_fig5_cell(transport, "dpu", "randread", 4096, 4,
+                         runtime=_RUNTIME, sample_every=10, waits=True,
+                         fault_plan=plan, tie_seed=tie_seed)
 
 
-def canonical(chaos) -> str:
+def canonical(run) -> str:
     """Everything observable about a run, in one comparable string."""
     return json.dumps(
-        {"recovery": chaos.stats.to_dict(),
-         "result": chaos.run.result.to_dict()},
+        {"recovery": run.fault_stats.to_dict(),
+         "result": run.result.to_dict()},
         sort_keys=True,
     )
 
@@ -71,9 +71,9 @@ def test_random_plans_terminate_conserve_and_replay(events, transport):
     plan = FaultPlan(events=tuple(events))
     first = run_cell(plan, transport)
 
-    # Termination is implicit (run_fig5_chaos drained the heap); the
+    # Termination is implicit (the fault plan drained the heap); the
     # drain makes conservation exact, not eventual.
-    stats = first.stats
+    stats = first.fault_stats
     assert stats.submitted > 0
     assert stats.submitted == stats.completed + stats.failed
 
@@ -96,9 +96,9 @@ def test_tie_scramble_stays_in_envelope(events):
 
     plan = FaultPlan(events=tuple(events))
     for tie_seed in (1, 2):
-        chaos = run_cell(plan, tie_seed=tie_seed)
-        stats = chaos.stats
+        run = run_cell(plan, tie_seed=tie_seed)
+        stats = run.fault_stats
         assert stats.submitted == stats.completed + stats.failed
-        sections = chaos_sections(chaos.run.result, stats, chaos.plan,
-                                  tracer=chaos.run.tracer)
+        sections = chaos_sections(run.result, stats, plan,
+                                  tracer=run.tracer)
         assert sections["ok"], (tie_seed, sections["checks"])

@@ -233,44 +233,44 @@ def test_engine_crash_rebuilds_and_heals():
 # ---------------------------------------------------------------------------
 
 def run_small_chaos(transport, events, seed_key="chaos"):
-    from repro.bench.runner import run_fig5_chaos
+    from repro.bench.runner import run_fig5_cell
 
     plan = FaultPlan(events=tuple(events), seed_key=seed_key)
-    return run_fig5_chaos(transport, "dpu", "randread", 4096, 4, plan,
-                          runtime=0.01, sample_every=10)
+    return plan, run_fig5_cell(transport, "dpu", "randread", 4096, 4,
+                               runtime=0.01, sample_every=10, waits=True,
+                               fault_plan=plan)
 
 
 def test_tcp_reset_recovers_with_conservation():
     from repro.bench.chaos import chaos_sections
 
-    chaos = run_small_chaos("tcp", [
+    plan, run = run_small_chaos("tcp", [
         FaultEvent(kind="tcp_reset", target="dpu.tcp", at=0.005,
                    duration=0.001),
     ])
-    stats = chaos.stats
+    stats = run.fault_stats
     assert stats.injected == {"tcp_reset": 1}
     # The reset window drops replies; deadlines + retries ride it out.
     assert stats.replies_dropped > 0
     assert stats.timeouts > 0
     assert stats.retries > 0
     assert stats.submitted == stats.completed + stats.failed
-    sections = chaos_sections(chaos.run.result, stats, chaos.plan,
-                              tracer=chaos.run.tracer)
+    sections = chaos_sections(run.result, stats, plan, tracer=run.tracer)
     assert sections["ok"], sections["checks"]
     assert any(name.startswith("fault:dpu.tcp")
                for name in sections["fault_blame"])
 
 
 def test_nvme_media_errors_are_retried_to_success():
-    chaos = run_small_chaos("rdma", [
+    _, run = run_small_chaos("rdma", [
         FaultEvent(kind="nvme_media_error", target="nvme.ssd0", at=0.004,
                    duration=0.002),
     ])
-    stats = chaos.stats
+    stats = run.fault_stats
     assert stats.injected == {"nvme_media_error": 1}
     assert stats.retries > 0
     assert stats.submitted == stats.completed + stats.failed
     # Media errors are transient here (the window closes): every op
     # eventually succeeds, so the window shows full goodput.
-    assert chaos.run.result.errors == 0
+    assert run.result.errors == 0
     assert stats.failed == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import ledger as lg
-from repro.bench.runner import run_fig5_doctored
+from repro.bench.runner import run_fig5_cell
 from repro.sim.diffdoctor import (
     UNATTRIBUTED,
     DiffDiagnosis,
@@ -20,9 +20,8 @@ from repro.sim.diffdoctor import (
 
 def record_for(transport):
     """The quick 4 KiB Fig. 5 cell — the one the committed campaign pins."""
-    run = run_fig5_doctored(transport, "dpu", "randread", 4096, 16,
-                            runtime=0.02, sample_every=20,
-                            observe_sampler=False)
+    run = run_fig5_cell(transport, "dpu", "randread", 4096, 16,
+                        runtime=0.02, sample_every=20, waits=True)
     config = {"experiment": "fig5", "transport": transport, "client": "dpu",
               "rw": "randread", "bs": 4096, "numjobs": 16,
               "runtime": 0.02, "sample_every": 20}

@@ -189,10 +189,11 @@ class TestDiagnose:
 class TestFig5Doctored:
     @pytest.fixture(scope="class")
     def run(self):
-        from repro.bench.runner import run_fig5_doctored
+        from repro.bench.runner import run_fig5_cell
 
-        return run_fig5_doctored("tcp", "dpu", "randread", 4096, 16,
-                                 runtime=0.02, sample_every=20)
+        return run_fig5_cell("tcp", "dpu", "randread", 4096, 16,
+                             runtime=0.02, sample_every=20, waits=True,
+                             sampler=True)
 
     def test_arm_rx_is_the_bottleneck(self, run):
         """Reproduce the paper's Fig. 5 conclusion: the BF3 Arm RX path

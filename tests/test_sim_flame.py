@@ -150,11 +150,10 @@ class TestGoldenFig5:
     """Pin the exact collapsed-stack output of a small deterministic cell."""
 
     def test_golden_collapsed_stacks(self):
-        from repro.bench.runner import run_fig5_doctored
+        from repro.bench.runner import run_fig5_cell
 
-        run = run_fig5_doctored("tcp", "dpu", "randread", 4096, 2,
-                                runtime=0.004, sample_every=4,
-                                observe_sampler=False)
+        run = run_fig5_cell("tcp", "dpu", "randread", 4096, 2,
+                            runtime=0.004, sample_every=4, waits=True)
         text = render_collapsed(fold_spans(run.collector.spans))
         with open(os.path.join(DATA, "flame_fig5_golden.txt")) as fh:
             golden = fh.read()

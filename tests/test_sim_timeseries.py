@@ -201,12 +201,12 @@ def test_sampler_never_started_costs_nothing():
 
 def test_sampler_disabled_is_bit_identical():
     """Attaching the full probe set must not change simulated results."""
-    from repro.bench.runner import run_fig5_cell, run_fig5_observed
+    from repro.bench.runner import run_fig5_cell
 
     bare = run_fig5_cell("tcp", "dpu", "randread", 4096, 4, runtime=0.005)
-    observed = run_fig5_observed("tcp", "dpu", "randread", 4096, 4,
-                                 runtime=0.005, sample_every=None)
-    assert observed.result.to_dict() == bare.to_dict()
+    observed = run_fig5_cell("tcp", "dpu", "randread", 4096, 4,
+                             runtime=0.005, sampler=True)
+    assert observed.result.to_dict() == bare.result.to_dict()
     assert observed.sampler.ticks > 0  # the telemetry genuinely ran
 
 
