@@ -44,7 +44,6 @@ def run_case(cached: bool):
 
             def epoch(env):
                 lanes = 16
-                done = []
 
                 def lane(env, k):
                     lctx = session.data_port().new_context()

@@ -11,7 +11,6 @@ import pytest
 from conftest import CellCache, write_report
 
 from repro.bench.report import Table
-from repro.bench.runner import run_ros2_fio  # noqa: F401 (doc reference)
 from repro.core import Ros2Config, Ros2System
 from repro.core.gpudirect import GpuDirectPath, StagedGpuPath
 from repro.hw.gpu import GpuDevice

@@ -16,7 +16,7 @@ from conftest import CellCache, write_report
 from repro.bench.report import Table
 from repro.hw import make_paper_testbed
 from repro.hw.specs import KIB, MIB, RDMA_COSTS, US
-from repro.net.rdma import AccessFlags, RdmaDevice
+from repro.net.rdma import RdmaDevice
 from repro.sim import Environment
 
 CACHE = CellCache()

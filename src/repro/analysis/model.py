@@ -35,6 +35,8 @@ RULES: Dict[str, str] = {
               "math.fsum is exact",
     "SIM006": "volatile field read inside content-hash or run-ID "
               "derivation",
+    "SIM007": "reservation wake-up not yielded or returned where it "
+              "is made",
 }
 
 

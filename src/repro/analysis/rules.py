@@ -20,6 +20,12 @@ Each rule encodes one way this codebase has learned determinism can rot
 * ``SIM006`` — reading a volatile record field (``created``,
   ``git_sha``, ``code_fingerprint``, ``run_id``) inside content-hash /
   run-ID derivation code.
+* ``SIM007`` — in a hot-path package, a reservation call (``serve``,
+  ``serve_then``, ``serve_units``, ``execute``, ``enter``,
+  ``JobThread.run``) whose result is not directly the operand of
+  ``yield`` or ``return``.  From a process a reservation pushes a
+  direct wake of that process, so a discarded, stored or combined
+  wake-up resumes it at the wrong point.
 
 The visitors are heuristic by design: precise enough that the clean
 tree carries only justified baseline entries, simple enough to audit.
@@ -82,6 +88,19 @@ _SIM006_CONTEXT = re.compile(
 #: enclosing function's name.
 _SIM006_CALLS = frozenset({
     "config_hash", "content_hash", "sha256", "sha1", "md5", "blake2b"})
+
+
+#: Methods that reserve a server and return the caller's wake-up (SIM007).
+_SIM007_METHODS = frozenset({
+    "serve", "serve_then", "serve_units", "execute", "enter", "run"})
+
+#: Last name of an argument that makes ``serve(x)`` an RPC/control-plane
+#: listener (``RpcServer.serve(channel)``), not a reservation.
+_SIM007_LISTENER_ARG = re.compile(r"(^|_)(ch|chan|channel|conn|connection)$")
+
+#: Last name of a receiver that makes ``x.run(...)`` the kernel's event
+#: loop (``env.run``), not ``JobThread.run``.
+_SIM007_ENV_RECEIVER = re.compile(r"(^|_)env\d*$")
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -201,6 +220,7 @@ class _Checker(ast.NodeVisitor):
         self._sim001(node)
         self._sim003(node)
         self._sim005(node)
+        self._sim007(node)
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
@@ -486,6 +506,35 @@ class _Checker(ast.NodeVisitor):
             "volatile stamps (created, git_sha, code_fingerprint, "
             "run_id) must not feed content hashes — go through "
             "strip_volatile() or drop the field")
+
+    # -- SIM007 ------------------------------------------------------
+
+    def _sim007(self, node: ast.Call) -> None:
+        func = node.func
+        if not (isinstance(func, ast.Attribute)
+                and func.attr in _SIM007_METHODS
+                and _is_hot_path(self.relpath)):
+            return
+        if func.attr == "serve" and len(node.args) == 1:
+            arg = (_dotted(node.args[0]) or "").rsplit(".", 1)[-1]
+            if _SIM007_LISTENER_ARG.search(arg):
+                return
+        if func.attr == "run":
+            receiver = (_dotted(func.value) or "").rsplit(".", 1)[-1]
+            if not receiver or _SIM007_ENV_RECEIVER.search(receiver):
+                return
+        parent = self.parents.get(id(node))
+        if isinstance(parent, (ast.Yield, ast.Return)):
+            return
+        self._emit(
+            node, "SIM007",
+            f"reservation {func.attr}() wake-up is not yielded or "
+            "returned where it is made",
+            "write `yield srv.serve(...)` (or `return` it to a caller "
+            "that yields it): from a process the reservation pushes a "
+            "direct wake of that process, so a dropped, stored or "
+            "combined wake-up resumes it at the wrong point")
+
 
 def _sim006_get_calls(checker: _Checker, tree: ast.AST) -> None:
     """Second pass: ``record.get("created")`` inside hash contexts."""

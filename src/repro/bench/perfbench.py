@@ -138,7 +138,9 @@ def bench_kernel(n_events: int = 200_000, repeat: int = 3, warmup: int = 1
 
     Two interleaved processes yield timeouts so both the recycled-
     :class:`~repro.sim.core.Timeout` fast path and process resumption are
-    on the measured path — the same shape as model code hot loops.
+    on the measured path.  These are plain sleeps: model hot loops now
+    wake mostly through direct reservation wakes, which use no Timeout
+    (``direct_wakes`` reads 0 here).
     """
     counters = {}
 
@@ -157,6 +159,7 @@ def bench_kernel(n_events: int = 200_000, repeat: int = 3, warmup: int = 1
         env.run(until=until)
         counters["events"] = env.events_processed
         counters["recycled"] = env.timeouts_recycled
+        counters["direct"] = env.direct_wakes
         return env
 
     wall, _ = _min_wall(once, repeat, warmup)
@@ -164,6 +167,7 @@ def bench_kernel(n_events: int = 200_000, repeat: int = 3, warmup: int = 1
     return {
         "n_events": events,
         "timeouts_recycled": counters["recycled"],
+        "direct_wakes": counters["direct"],
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
     }
@@ -238,6 +242,9 @@ def bench_fig5_cells(cells: Optional[Dict[str, tuple]] = None,
     the number is exactly "how long one CI cell takes".  Events/IO uses
     the *total* dispatched events over total completed IOs — it includes
     setup and prefill, so it is an upper bound on the steady-state cost.
+    ``timeouts_recycled`` counts only non-reservation timeouts (sleeps,
+    pipe gates): reservations made by processes are ``direct_wakes``,
+    which need no Timeout at all.
     """
     from repro.bench.runner import run_fig5_cell
 
@@ -252,6 +259,7 @@ def bench_fig5_cells(cells: Optional[Dict[str, tuple]] = None,
             env = run.system.env
             stats["events"] = env.events_processed
             stats["recycled"] = env.timeouts_recycled
+            stats["direct"] = env.direct_wakes
             stats["total_ios"] = run.result.total_ios
             return run.result
 
@@ -264,6 +272,7 @@ def bench_fig5_cells(cells: Optional[Dict[str, tuple]] = None,
             "total_ios": ios,
             "events_processed": stats["events"],
             "timeouts_recycled": stats["recycled"],
+            "direct_wakes": stats["direct"],
             "events_per_io": stats["events"] / ios if ios else 0.0,
             "ios_per_wall_sec": ios / wall if wall > 0 else 0.0,
         }
@@ -575,7 +584,8 @@ def render_summary(doc: dict) -> str:
         lines.append(
             f"  fig5   : {tag:14s} {cell['wall_s'] * 1e3:7.1f} ms, "
             f"{cell['events_processed']} events / {cell['total_ios']} IOs "
-            f"= {cell['events_per_io']:.0f} ev/IO{extra}")
+            f"= {cell['events_per_io']:.0f} ev/IO, "
+            f"{cell['direct_wakes']} direct wakes{extra}")
     c = doc.get("campaign")
     if c:
         lines.append(

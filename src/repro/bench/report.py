@@ -9,8 +9,7 @@ core x core heatmap grids for Fig. 4.
 from __future__ import annotations
 
 import csv
-import io
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = ["Table", "format_heatmap", "format_rate", "write_csv"]
 

@@ -76,10 +76,14 @@ class SystemReport:
     staged_peak_bytes: float = 0.0
     tenant_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Kernel cost counters (DESIGN.md §9): total dispatched simulation
-    #: events and recycled Timeout objects.  Dividing events by completed
-    #: IOs gives the events/IO figure the perf harness gates on.
+    #: events, recycled Timeout objects and direct reservation wakes.
+    #: Reservations made by a process use no Timeout, so recycled
+    #: timeouts count only the rest (sleeps, gates); the direct wakes
+    #: are the reservations.  Dividing events by completed IOs gives the
+    #: events/IO figure the perf harness gates on.
     sim_events_processed: int = 0
     sim_timeouts_recycled: int = 0
+    sim_direct_wakes: int = 0
     #: Recovery counters (DESIGN.md §14): all zero unless a fault plan
     #: was installed, so no-fault reports are unchanged.
     retries: int = 0
@@ -149,7 +153,8 @@ class SystemReport:
             f"{self.data_plane_write_bytes / GIB:.2f} GiB written | "
             f"staging peak: {self.staged_peak_bytes / GIB:.3f} GiB\n"
             f"kernel: {self.sim_events_processed} events dispatched, "
-            f"{self.sim_timeouts_recycled} timeouts recycled\n"
+            f"{self.sim_timeouts_recycled} timeouts recycled, "
+            f"{self.sim_direct_wakes} direct wakes\n"
             f"bottleneck hint: {self.busiest_component()}"
         )
         if (self.retries or self.reconnects or self.degraded_reads
@@ -170,6 +175,7 @@ def snapshot(system) -> SystemReport:
         now=env.now,
         sim_events_processed=env.events_processed,
         sim_timeouts_recycled=env.timeouts_recycled,
+        sim_direct_wakes=env.direct_wakes,
     )
     seen = set()
     for node in [system.client_node, system.server_node, system.launcher_node]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.hw.specs import HostSpec
-from repro.sim.core import Environment, Timeout
+from repro.sim.core import Environment, Wake
 from repro.sim.queues import FifoServer, PooledServer
 
 __all__ = ["CpuPool", "SerializedSection"]
@@ -50,7 +50,7 @@ class CpuPool:
         """Resource name for wait-cause attribution."""
         return self._pool.name
 
-    def execute(self, x86_cost: float, *delays: float) -> Timeout:
+    def execute(self, x86_cost: float, *delays: float) -> Wake:
         """Run ``x86_cost`` seconds of baseline work on the earliest-free core.
 
         Trailing ``delays`` are the caller's own pure sleeps after the
@@ -108,7 +108,7 @@ class SerializedSection:
         # core pool both attribute to "dpu.arm_rx").
         self._server = FifoServer(env, name=wait_name or name)
 
-    def enter(self, x86_cost: float) -> Timeout:
+    def enter(self, x86_cost: float) -> Wake:
         """Pass through the section, paying ``x86_cost`` (scaled) serially."""
         return self._server.serve(x86_cost * self.factor)
 

@@ -18,7 +18,7 @@ are decimal bits-per-second converted to bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 __all__ = [

@@ -39,7 +39,7 @@ from repro.hw.nic import Route
 from repro.hw.platform import ComputeNode
 from repro.hw.specs import RDMA_COSTS, TransportCosts
 from repro.net.message import HEADER_BYTES
-from repro.sim.core import Environment, Event
+from repro.sim.core import Environment, Event, Wake
 from repro.sim.monitor import RateMeter
 from repro.sim.resources import Store
 
@@ -479,7 +479,7 @@ class QueuePair:
     # rendezvous threshold the RTS/CTS round trip, and the switch
     # propagation — before :meth:`Route.cross` moves the bytes over the
     # sender's TX and the receiver's RX pipe.
-    def _post_eager(self) -> Event:
+    def _post_eager(self) -> Wake:
         """Untraced eager post: the stack latency and the propagation ride
         the CPU reservation as one event at the chained-sleep instant."""
         costs = self.device.costs

@@ -26,6 +26,12 @@ Hot-loop design notes (see DESIGN.md §9 for the event-cost budget):
   reservation).  An event that *anything* still references — a condition,
   a tracer, user code — is never recycled, so the optimisation is
   invisible to correctness.
+* A reservation (:mod:`repro.sim.queues`) made by a running process
+  pushes the process's own resume callback onto the heap instead of a
+  Timeout (:meth:`Environment._wake_at`): the run loop resumes it
+  straight from the heap entry, with no event object, callback list or
+  recycle check.  The heap key and the fire time are the ones the
+  Timeout would have had, so the schedule is unchanged.
 * :attr:`Environment.events_processed` counts every dispatched event so
   telemetry and the perf harness (:mod:`repro.bench.perfbench`) can report
   events-per-IO, the simulator's native cost metric.
@@ -36,7 +42,8 @@ from __future__ import annotations
 from gc import disable as gc_disable, enable as gc_enable, isenabled as gc_isenabled
 from heapq import heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Generator, Iterable, Optional
+from types import MethodType
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 __all__ = [
     "PENDING",
@@ -47,6 +54,7 @@ __all__ = [
     "StopProcess",
     "Event",
     "Timeout",
+    "Wake",
     "Process",
     "ConditionEvent",
     "AllOf",
@@ -104,7 +112,9 @@ class Interrupt(Exception):
     """Thrown into a process by :meth:`Process.interrupt`.
 
     The interrupted process may catch it and continue; the event it was
-    waiting on stays valid and may be re-yielded.
+    waiting on stays valid and may be re-yielded.  A reservation's direct
+    wake (see :meth:`Environment._wake_at`) does not: the interrupt
+    abandons it, and its heap entry pops without resuming the process.
     """
 
     @property
@@ -260,15 +270,28 @@ class Initialize(Event):
                   env._eid if ts is None else ts(env._eid), self))
 
 
-class _Started:
-    """Stand-in for a processed :class:`Initialize` (inline process start)."""
+class _Resumed:
+    """Stand-in for the event a process resumes from when there is none.
+
+    :data:`_STARTED` is a processed :class:`Initialize` (an inline process
+    start).  :data:`_PARKED` is what a reservation returns when it woke
+    its process directly (see :meth:`Environment._wake_at`): the process
+    yields it like an event, :meth:`Process._resume` parks on it without
+    touching any callback list, and the run loop resumes the process from
+    its heap entry with it.
+    """
 
     __slots__ = ()
     _ok = True
     _value = None
 
 
-_STARTED = _Started()
+_STARTED = _Resumed()
+_PARKED = _Resumed()
+
+#: What a reservation server returns: a :class:`Timeout`, or the parked
+#: sentinel of a direct wake.  Yield it at once, and nothing else first.
+Wake = Union[Timeout, _Resumed]
 
 
 class _InterruptEvent(Event):
@@ -290,7 +313,8 @@ class _InterruptEvent(Event):
         if proc.triggered:  # process already finished; drop the interrupt
             return
         # Detach the process from whatever it is waiting on, then resume it
-        # with the Interrupt exception.
+        # with the Interrupt exception.  A reservation's direct wake stays
+        # in the heap but no longer matches, so it pops inert.
         target = proc._target
         if target is not None and target.callbacks is not None:
             try:
@@ -298,6 +322,7 @@ class _InterruptEvent(Event):
             except ValueError:
                 pass
         proc._target = None
+        proc._wake = None
         proc._resume(self)
 
 
@@ -308,7 +333,7 @@ class Process(Event):
     generator raises, the process fails with that exception.
     """
 
-    __slots__ = ("generator", "_target", "name", "_rcb")
+    __slots__ = ("generator", "_target", "name", "_rcb", "_wake")
 
     def __init__(
         self,
@@ -324,10 +349,13 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
         #: The bound ``_resume`` method, materialised once: every suspension
-        #: appends it to the awaited event's callback list, and building a
-        #: fresh bound method per suspension is a measurable allocation in
-        #: long runs.
+        #: appends it to the awaited event's callback list (or pushes it on
+        #: the heap as a direct wake), and building a fresh bound method per
+        #: suspension is a measurable allocation in long runs.
         self._rcb = self._resume
+        #: Heap key of this process's pending direct wake (None when it has
+        #: none); the run loop resumes the process only from that entry.
+        self._wake: Optional[int] = None
         if inline:
             # See Environment.process_inline: run the first step now.
             self._resume(_STARTED)  # type: ignore[arg-type]
@@ -361,35 +389,24 @@ class Process(Event):
                     exc = event._value
                     next_event = generator.throw(exc)
             except StopIteration as stop:
-                env._active = None
-                self._ok = True
-                self._value = stop.value
-                if self.callbacks or env._trace_hook is not None:
-                    env.schedule(self, 0.0, URGENT)
-                else:
-                    # Nobody is waiting on this process (and no tracer is
-                    # attached): mark it processed inline instead of
-                    # scheduling a no-op event.  A later ``yield proc``
-                    # takes the already-processed fast path with the same
-                    # value at the same simulated time.
-                    self.callbacks = None
+                self._finish(True, stop.value)
                 return
             except StopProcess:
-                env._active = None
-                self._ok = True
-                self._value = None
-                if self.callbacks or env._trace_hook is not None:
-                    env.schedule(self, 0.0, URGENT)
-                else:
-                    self.callbacks = None
+                self._finish(True, None)
                 return
             except BaseException as exc:  # noqa: BLE001 - failure propagates
-                env._active = None
-                self._ok = False
-                self._value = exc
-                env.schedule(self, 0.0, URGENT)
+                self._finish(False, exc)
                 return
 
+            if next_event is _PARKED:
+                # A reservation pushed this process's wake on the heap.
+                if self._wake is None:
+                    env._active = None
+                    raise SimulationError(
+                        f"process {self.name!r} yielded a reservation wake "
+                        f"it has no pending reservation for (another "
+                        f"process's, or one already yielded)")
+                break
             try:
                 cbs = next_event.callbacks
             except AttributeError:
@@ -408,12 +425,40 @@ class Process(Event):
                         f"process {self.name!r} yielded an event "
                         f"from another environment"
                     )
+                if self._wake is not None:
+                    env._active = None
+                    raise SimulationError(
+                        f"process {self.name!r} waits on {next_event!r} "
+                        f"while its reservation's wake is unyielded")
                 cbs.append(self._rcb)
                 self._target = next_event
                 break
             # Already processed: loop immediately with its value.
             event = next_event
         env._active = None
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """The generator ended: record its outcome and fire the process."""
+        env = self.env
+        env._active = None
+        if self._wake is not None:
+            # Its wake stays in the heap but no longer matches.
+            self._wake = None
+            if ok:
+                ok, value = False, SimulationError(
+                    f"process {self.name!r} ended with its reservation's "
+                    f"wake unyielded")
+        self._ok = ok
+        self._value = value
+        if not ok or self.callbacks or env._trace_hook is not None:
+            env.schedule(self, 0.0, URGENT)
+        else:
+            # Nobody is waiting on this process (and no tracer is
+            # attached): mark it processed inline instead of scheduling
+            # a no-op event.  A later ``yield proc`` takes the already-
+            # processed fast path with the same value at the same
+            # simulated time.
+            self.callbacks = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
@@ -428,6 +473,11 @@ class ConditionEvent(Event):
         super().__init__(env)
         self.events = tuple(events)
         for ev in self.events:
+            if ev is _PARKED:
+                proc = env._active
+                raise SimulationError(
+                    f"process {getattr(proc, 'name', None)!r} passed a "
+                    f"reservation wake to a condition; yield it directly")
             if ev.env is not env:
                 raise SimulationError("condition mixes events from different environments")
         self._pending = len(self.events)
@@ -507,7 +557,7 @@ class Environment:
     __slots__ = ("_now", "_queue", "_eid", "_active", "_trace_hook",
                  "_trace_subscribers", "_trace_snapshot",
                  "_events_processed", "_tfree", "_timeouts_recycled",
-                 "_wait_tracer", "_tie_scramble", "_faults")
+                 "_direct_wakes", "_wait_tracer", "_tie_scramble", "_faults")
 
     def __init__(self, initial_time: float = 0.0,
                  tie_seed: Optional[int] = None) -> None:
@@ -535,6 +585,8 @@ class Environment:
         self._tfree: list = []
         #: How many Timeout allocations the free-list saved (for perfbench).
         self._timeouts_recycled = 0
+        #: Reservation wakes pushed straight onto the heap (no Timeout).
+        self._direct_wakes = 0
         #: Wait-cause tracer (:class:`repro.sim.waits.WaitTracer`) or None.
         #: Hot paths pay one ``is not None`` test when no tracer is
         #: installed, mirroring ``_trace_hook`` and station ``_stats``.
@@ -604,8 +656,17 @@ class Environment:
 
     @property
     def timeouts_recycled(self) -> int:
-        """Timeout allocations avoided via the free-list (perf accounting)."""
+        """Timeout allocations avoided via the free-list (perf accounting).
+
+        Reservations made by a running process use no Timeout at all (see
+        :attr:`direct_wakes`), so this counts only the other timeouts.
+        """
         return self._timeouts_recycled
+
+    @property
+    def direct_wakes(self) -> int:
+        """Reservation wakes pushed onto the heap with no Timeout object."""
+        return self._direct_wakes
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -679,6 +740,42 @@ class Environment:
                   self._eid if ts is None else ts(self._eid), t))
         return t
 
+    def _wake_at(self, when: float) -> Wake:
+        """The wake-up of a reservation ending at absolute time ``when``.
+
+        Called by the reservation servers of :mod:`repro.sim.queues` as
+        their last step.  From a running process it pushes the process's
+        resume callback itself onto the heap, under the key a Timeout
+        would have taken (one sequence number, the same fire time), and
+        returns the :data:`_PARKED` sentinel for the process to yield.
+        Dispatch then costs no event object, callback list or recycle
+        check.  The wait tracer's claim on the Timeout that is not made
+        is dropped, as :meth:`timeout_until` would have consumed it.
+
+        Outside a process, and while a trace hook is subscribed (so the
+        observed stream keeps its Timeouts, as with
+        :meth:`Event._succeed_inline`), this is ``timeout_until(when)``.
+        A trace hook subscribed later does not see the direct wakes
+        already pushed.
+        """
+        proc = self._active
+        if proc is None or self._trace_hook is not None:
+            return self.timeout_until(when)
+        if proc._wake is not None:
+            raise SimulationError(
+                f"process {proc.name!r} made a second reservation before "
+                f"yielding the first")
+        wt = self._wait_tracer
+        if wt is not None:
+            wt._claimed = False
+        self._eid += 1
+        ts = self._tie_scramble
+        key = self._eid if ts is None else ts(self._eid)
+        heappush(self._queue, (when, NORMAL, key, proc._rcb))
+        proc._wake = key
+        self._direct_wakes += 1
+        return _PARKED
+
     def process(self, generator: Generator[Event, Any, Any], name: Optional[str] = None) -> Process:
         """Start ``generator`` as a new process."""
         return Process(self, generator, name=name)
@@ -733,11 +830,19 @@ class Environment:
         body (minus the empty-queue probe) to avoid a frame per event.
         """
         try:
-            when, _prio, _eid, event = heappop(self._queue)
+            when, _prio, key, event = heappop(self._queue)
         except IndexError:
             raise SimulationError("no scheduled events") from None
         self._now = when
         self._events_processed += 1
+        if type(event) is MethodType:
+            # A direct wake (see _wake_at): resume the process unless the
+            # wake went stale (interrupt, process ended).
+            proc = event.__self__
+            if proc._wake is key:
+                proc._wake = None
+                event(_PARKED)
+            return
         callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:
@@ -763,8 +868,11 @@ class Environment:
         All three modes run a *fused* dispatch loop: heap pop, callback
         fan-out, trace hook and Timeout recycling happen inline with the
         loop-invariant lookups (queue, free-list, ``heappop``) hoisted into
-        locals.  Semantics are identical to calling :meth:`step` in a loop;
-        only the per-event interpreter overhead differs.
+        locals.  A direct reservation wake (a process's bound ``_resume``
+        on the heap, see :meth:`_wake_at`) skips all of that: it resumes
+        its process if the process still waits on that entry.  Semantics
+        are identical to calling :meth:`step` in a loop; only the
+        per-event interpreter overhead differs.
 
         The cyclic garbage collector is paused for the duration of the
         loop (and restored on exit, including on error): a simulation turn
@@ -777,6 +885,8 @@ class Environment:
         queue = self._queue
         tfree = self._tfree
         pop = heappop
+        wake = MethodType
+        parked = _PARKED
         n = 0
         gc_was_enabled = gc_isenabled()
         if gc_was_enabled:
@@ -784,9 +894,15 @@ class Environment:
         try:
             if until is None:
                 while queue:
-                    when, _prio, _eid, event = pop(queue)
+                    when, _prio, key, event = pop(queue)
                     self._now = when
                     n += 1
+                    if type(event) is wake:
+                        proc = event.__self__
+                        if proc._wake is key:
+                            proc._wake = None
+                            event(parked)
+                        continue
                     callbacks = event.callbacks
                     event.callbacks = None
                     for callback in callbacks:
@@ -817,9 +933,15 @@ class Environment:
                         raise SimulationError(
                             "event list empty but the awaited event never fired"
                         )
-                    when, _prio, _eid, event = pop(queue)
+                    when, _prio, key, event = pop(queue)
                     self._now = when
                     n += 1
+                    if type(event) is wake:
+                        proc = event.__self__
+                        if proc._wake is key:
+                            proc._wake = None
+                            event(parked)
+                        continue
                     callbacks = event.callbacks
                     event.callbacks = None
                     for callback in callbacks:
@@ -844,9 +966,15 @@ class Environment:
                 raise ValueError(
                     f"until={horizon} lies in the past (now={self._now})")
             while queue and queue[0][0] <= horizon:
-                when, _prio, _eid, event = pop(queue)
+                when, _prio, key, event = pop(queue)
                 self._now = when
                 n += 1
+                if type(event) is wake:
+                    proc = event.__self__
+                    if proc._wake is key:
+                        proc._wake = None
+                        event(parked)
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:

@@ -7,7 +7,7 @@ servers that need only **one** event per operation:
 
 * :class:`FifoServer` — a single FIFO server.  ``serve(duration)`` computes
   the completion time analytically (``max(now, free_at) + duration``) and
-  returns a single timeout event.  Exactly models a non-preemptive FIFO
+  returns the caller's one wake-up.  Exactly models a non-preemptive FIFO
   queue with deterministic service, which is how we model NVMe channels and
   serial links.  ``serve(duration, *delays)`` folds the caller's pure
   sleeps that follow the service into the same event; ``serve_then``
@@ -32,6 +32,12 @@ servers that need only **one** event per operation:
   See DESIGN.md §9 for the exactness argument.
 
 All of them track cumulative busy time so utilization can be reported.
+
+A reservation's wake-up comes from :meth:`Environment._wake_at
+<repro.sim.core.Environment._wake_at>`: made by a running process it is
+a direct heap wake of that process, not a Timeout, and the returned
+sentinel must be yielded at once by the process that reserved (simlint
+``SIM007``).  Outside a process it is a plain Timeout.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import heapq
 from math import ceil
 from typing import Generator, Optional, Tuple
 
-from repro.sim.core import Environment, Event, Process, Timeout
+from repro.sim.core import Environment, Event, Process, Timeout, Wake
 
 __all__ = ["FifoServer", "PooledServer", "BandwidthPipe"]
 
@@ -49,8 +55,8 @@ class FifoServer:
     """A single non-preemptive FIFO server with deterministic service times.
 
     ``serve()`` *reserves* the server immediately: the caller is queued at
-    its current position and receives an event that fires when its service
-    completes.  This collapses queueing to O(1) state (the time the server
+    its current position and receives a wake-up (see the module notes)
+    that fires when its service completes.  This collapses queueing to O(1) state (the time the server
     next becomes free).
     """
 
@@ -91,8 +97,8 @@ class FifoServer:
         """Seconds of already-reserved work ahead of a new arrival."""
         return max(0.0, self._free_at - self.env.now)
 
-    def serve(self, duration: float, *delays: float) -> Timeout:
-        """Reserve ``duration`` seconds of service; event fires at completion.
+    def serve(self, duration: float, *delays: float) -> Wake:
+        """Reserve ``duration`` seconds of service; wake up at completion.
 
         Trailing ``delays`` are the caller's own pure sleeps after the
         service: the event then fires where ``yield serve(duration)``
@@ -118,9 +124,9 @@ class FifoServer:
         wt = env._wait_tracer
         if wt is not None:
             wt.reserve(self.name, start - now, duration)
-        return env.timeout(done - now)
+        return env._wake_at(now + (done - now))
 
-    def serve_then(self, duration: float, extra_delay: float) -> Timeout:
+    def serve_then(self, duration: float, extra_delay: float) -> Wake:
         """Reserve ``duration`` of service, then the server's own latency.
 
         Like ``serve(duration, extra_delay)``, but the wait tracer books
@@ -141,7 +147,7 @@ class FifoServer:
         return _chained_wake(self, now, start, duration, done, (extra_delay,),
                              extra_delay)
 
-    def serve_units(self, units: float) -> Timeout:
+    def serve_units(self, units: float) -> Wake:
         """Serve ``units`` of work at the configured ``rate``."""
         if self.rate is None:
             raise ValueError("server has no rate configured; use serve(duration)")
@@ -188,7 +194,7 @@ class PooledServer:
         """Time the least-loaded server becomes idle."""
         return self._free[0]
 
-    def execute(self, duration: float, *delays: float) -> Timeout:
+    def execute(self, duration: float, *delays: float) -> Wake:
         """Reserve ``duration`` seconds on the earliest-free server.
 
         Trailing ``delays`` are the caller's own pure sleeps, chained into
@@ -213,7 +219,7 @@ class PooledServer:
         wt = env._wait_tracer
         if wt is not None:
             wt.reserve(self.name, start - now, duration)
-        return env.timeout(done - now)
+        return env._wake_at(now + (done - now))
 
     def backlog(self) -> float:
         """Seconds until the earliest server frees up (0 if any is idle)."""
@@ -226,14 +232,14 @@ class PooledServer:
 
 
 def _chained_wake(srv, now: float, start: float, duration: float, done: float,
-                  delays: Tuple[float, ...], latency: float) -> Timeout:
+                  delays: Tuple[float, ...], latency: float) -> Wake:
     """The one wake-up event of a reservation followed by pure sleeps.
 
     ``serve`` would fire at ``now + (done - now)`` and each chained
     ``timeout(d)`` at the previous instant plus ``d``.  The absolute fire
-    time repeats those float additions verbatim and is scheduled with
-    ``timeout_until``, which never re-rounds through a relative delay, so
-    the event fires at the bit-identical instant.  Its place among
+    time repeats those float additions verbatim and is scheduled at that
+    absolute instant (``_wake_at``), which never re-rounds through a
+    relative delay, so the event fires at the bit-identical instant.  Its place among
     *equal-time* events is not kept: the event takes its heap sequence
     number now, not at the end of the reservation, so it pops ahead of
     an event scheduled in between for the same instant.
@@ -254,7 +260,7 @@ def _chained_wake(srv, now: float, start: float, duration: float, done: float,
     wt = env._wait_tracer
     if wt is not None:
         wt.reserve(srv.name, start - now, duration, latency)
-    return env.timeout_until(when)
+    return env._wake_at(when)
 
 
 class BandwidthPipe:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim.core import Environment, Timeout
+from repro.sim.core import Environment, Wake
 from repro.sim.queues import FifoServer
 
 __all__ = ["JobThread"]
@@ -35,7 +35,7 @@ class JobThread:
         self.factor = float(factor)
         self._server = FifoServer(env, name=name)
 
-    def run(self, x86_cost: float) -> Timeout:
+    def run(self, x86_cost: float) -> Wake:
         """Execute ``x86_cost`` seconds of baseline work on this thread."""
         return self._server.serve(x86_cost * self.factor)
 

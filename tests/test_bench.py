@@ -29,7 +29,7 @@ def test_table_renders_aligned():
     out = t.render()
     lines = out.splitlines()
     assert lines[0] == "Demo"
-    assert all(len(l) == len(lines[2]) for l in lines[2:])
+    assert all(len(line) == len(lines[2]) for line in lines[2:])
     assert "row-two" in out
 
 

@@ -18,6 +18,7 @@ def test_bench_kernel_counts_and_rate():
     # tickers' last timeouts may straddle `until`).
     assert abs(out["n_events"] - 5_000) <= 2
     assert out["timeouts_recycled"] > 0.9 * out["n_events"]
+    assert out["direct_wakes"] == 0  # plain sleeps, no reservations
     assert out["events_per_sec"] > 0
     assert out["wall_s"] > 0
 
@@ -43,6 +44,11 @@ def test_bench_fig5_cells_shape():
     assert cell["events_processed"] > cell["total_ios"]
     assert cell["events_per_io"] == cell["events_processed"] / cell["total_ios"]
     assert cell["wall_s"] > 0
+    # Reservations wake their process directly; recycled timeouts are the
+    # rest (sleeps, pipe gates), so the two together stay below the events.
+    assert cell["direct_wakes"] > 0
+    assert cell["direct_wakes"] + cell["timeouts_recycled"] \
+        < cell["events_processed"]
 
 
 def _fake_doc():

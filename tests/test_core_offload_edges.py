@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Ros2Config, Ros2System
 from repro.core.control_plane import GrpcError, StatusCode
-from repro.hw.specs import KIB, MIB
+from repro.hw.specs import KIB
 from repro.sim import Environment
 
 
@@ -171,7 +171,7 @@ def test_session_chunk_size_round_trips():
     env, system, session = boot()
 
     def go(env):
-        fh = yield from session.create("/chunky", chunk_size=128 * KIB)
+        yield from session.create("/chunky", chunk_size=128 * KIB)
         st = yield from session.stat("/chunky")
         return st["chunk_size"]
 

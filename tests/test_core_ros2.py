@@ -129,7 +129,6 @@ def test_encrypted_tenant_stores_ciphertext():
     # But the media holds ciphertext.
     state = system.service.sessions[session.session_id]
     f = state.files[fh]
-    target = system.engine.target_for(f.oid, b"\x00" * 8)
     found_plaintext = False
     for t in system.engine.targets:
         vobj = t.vos.object_if_exists(state.cont.cont, f.oid)

@@ -1,7 +1,5 @@
 """Unit tests for the telemetry snapshot."""
 
-import pytest
-
 from repro.core import Ros2Config, Ros2System
 from repro.core.telemetry import SystemReport, snapshot
 from repro.hw.specs import MIB
@@ -38,6 +36,14 @@ def test_snapshot_structure():
     names = {n.name for n in report.nodes}
     assert names == {"dpu", "storage", "host"}
     assert len(report.devices) == 2
+
+
+def test_snapshot_reports_kernel_counters():
+    system = run_workload()
+    report = snapshot(system)
+    assert report.sim_direct_wakes == system.env.direct_wakes > 0
+    assert report.sim_events_processed > report.sim_direct_wakes
+    assert f"{report.sim_direct_wakes} direct wakes" in report.render()
 
 
 def test_snapshot_counts_data_plane_traffic():

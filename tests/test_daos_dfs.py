@@ -5,7 +5,7 @@ import pytest
 from repro.daos import DaosClient, DaosEngine, DfsNamespace
 from repro.daos.types import DaosError
 from repro.hw import make_paper_testbed
-from repro.hw.specs import KIB, MIB
+from repro.hw.specs import KIB
 from repro.net import Fabric
 from repro.sim import Environment
 
@@ -277,7 +277,7 @@ def test_namespace_requires_mount():
     top = make_paper_testbed(env)
     fab = Fabric(env)
     engine = DaosEngine(top.server)
-    pool = engine.create_pool()
+    engine.create_pool()
     ch = fab.connect(top.client, top.server, "ucx+rc")
     engine.serve(ch)
     daos = DaosClient(top.client, ch)

@@ -5,7 +5,6 @@ behave exactly like a dict-of-dicts filesystem, and files exactly like
 flat byte arrays — through the full RPC/VOS/transaction machinery.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -117,7 +116,7 @@ def test_file_matches_flat_buffer(writes):
         got = yield from f.read(ctx, 0, span)
         assert got == bytes(ref)
         size = yield from f.size(ctx)
-        expected_size = max((o + l for o, l, _ in writes), default=0)
+        expected_size = max((o + n for o, n, _ in writes), default=0)
         assert size == expected_size
 
     run(env, go(env))

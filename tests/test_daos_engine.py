@@ -3,11 +3,11 @@
 import pytest
 
 from repro.daos import DaosClient, DaosEngine
-from repro.daos.engine import INLINE_THRESHOLD, TARGETS_PER_SSD
+from repro.daos.engine import TARGETS_PER_SSD
 from repro.daos.rpc import RpcError
 from repro.daos.types import ObjectClass, ObjectId
 from repro.hw import make_paper_testbed
-from repro.hw.specs import KIB, MIB
+from repro.hw.specs import KIB
 from repro.net import Fabric
 from repro.sim import Environment
 
@@ -79,7 +79,7 @@ def test_placement_deterministic():
 def test_unknown_pool_and_container_errors():
     env, top, engine, pool, daos = setup()
     ctx = daos.new_context()
-    from repro.daos.types import PoolId, ContainerId
+    from repro.daos.types import PoolId
 
     def bad_pool(env):
         yield from daos.connect_pool(ctx, PoolId(0xDEAD))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.daos.types import ContainerId, NoSuchObject, ObjectClass, ObjectId
+from repro.daos.types import ContainerId, NoSuchObject, ObjectId
 from repro.daos.vos import KV_RECORD_BYTES, SCM_THRESHOLD, VersionedObjectStore
 from repro.hw import make_paper_testbed
 from repro.hw.specs import KIB, MIB

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.gpu import PCIE_GEN5_X16, GpuDevice
-from repro.hw.specs import GIB, GPU_BY_NAME, GPU_GENERATIONS, MIB
+from repro.hw.specs import GPU_BY_NAME, GPU_GENERATIONS, MIB
 from repro.sim import Environment
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.nvme import NvmeArray, NvmeDevice
-from repro.hw.specs import GIB, KIB, MIB, NVME_SSD
+from repro.hw.specs import KIB, MIB, NVME_SSD
 from repro.sim import Environment
 
 

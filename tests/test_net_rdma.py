@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw import make_paper_testbed
-from repro.hw.specs import KIB, MIB, RDMA_COSTS
+from repro.hw.specs import KIB, MIB
 from repro.net.rdma import (
     AccessFlags,
     AccessViolation,

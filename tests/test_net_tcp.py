@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw import make_paper_testbed
-from repro.hw.specs import GIB, KIB, MIB, TCP_COSTS
+from repro.hw.specs import KIB, MIB, TCP_COSTS
 from repro.net.message import Message
 from repro.net.tcp import TcpStack
 from repro.sim import Environment

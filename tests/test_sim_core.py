@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, SimulationError
+from repro.sim import Environment, Interrupt, SimulationError
 
 
 def test_clock_starts_at_zero():

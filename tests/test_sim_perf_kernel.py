@@ -19,14 +19,20 @@ Pins the perf-critical invariants added by the kernel optimisation pass:
   heap tombstones (lazy deletion).
 * Trace subscription snapshotting keeps fan-out semantics stable when a
   subscriber unsubscribes mid-dispatch.
+* Direct reservation wakes dispatch the same schedule as the Timeout
+  path (forced by a subscribed trace hook) on random contended
+  schedules, tie scrambling included, and every misuse of a parked
+  wake — interrupt, condition, foreign yield, double reservation,
+  dropped wake — fails loudly and never resumes a process twice.
 """
 
 import random
+from types import MethodType
 
 import pytest
 
 from repro.hw.specs import RDMA_COSTS
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Interrupt, SimulationError, Timeout
 from repro.sim.queues import BandwidthPipe, FifoServer, PooledServer
 from repro.sim.resources import PriorityResource, Resource
 from repro.sim.waits import WaitTracer
@@ -619,3 +625,300 @@ def test_trace_subscriber_observes_every_event():
     env.run()
     # Initialize + 10 timeouts + process end (not inlined under tracing).
     assert count[0] == env.events_processed == 12
+
+
+# ---------------------------------------------------------------------------
+# Direct reservation wakes (no Timeout per reservation)
+# ---------------------------------------------------------------------------
+
+_QUANTUM = 1e-6  # durations on a coarse grid so equal-time ties are common
+
+
+def _direct_wake_schedule(seed, tie_seed=None, hook=None, subscribe_at=None):
+    """A random contended schedule over every reservation kind.
+
+    Workers mix ``FifoServer.serve`` (plain, chained, ``serve_then``),
+    ``PooledServer.execute`` (plain, chained), single- and multi-chunk
+    ``BandwidthPipe`` transfers (coalesced, so overlaps revoke) and plain
+    sleeps.  ``hook`` is subscribed before the run, or once the run has
+    reached simulated time ``subscribe_at``.  Returns the dispatch log
+    ``(time, worker, step)`` and every counter, plus the events dispatched
+    and the direct wakes pending at subscription.
+    """
+    rng = random.Random(seed)
+    env = Environment(tie_seed=tie_seed)
+    fifo = FifoServer(env, name="fifo")
+    pool = PooledServer(env, 2, name="pool")
+    pipe = BandwidthPipe(env, bandwidth=4096 / _QUANTUM, latency=_QUANTUM,
+                         chunk_bytes=4096)
+    log = []
+    at_subscribe = []
+
+    def q(lo, hi):
+        return rng.randint(lo, hi) * _QUANTUM
+
+    def worker(env, w, steps):
+        yield env.timeout(q(0, 5))
+        for i, (kind, args) in enumerate(steps):
+            if kind == "serve":
+                yield fifo.serve(*args)
+            elif kind == "serve_then":
+                yield fifo.serve_then(*args)
+            elif kind == "execute":
+                yield pool.execute(*args)
+            elif kind == "transfer":
+                yield from pipe.transfer(*args)
+            else:
+                yield env.timeout(*args)
+            log.append((env.now, w, i))
+
+    kinds = ("serve", "serve_then", "execute", "transfer", "sleep")
+    workers = []
+    for w in range(8):
+        steps = []
+        for _ in range(rng.randint(3, 10)):
+            kind = rng.choice(kinds)
+            if kind in ("serve", "execute"):
+                args = (q(0, 3),) + tuple(q(0, 2) for _ in range(rng.randint(0, 2)))
+            elif kind == "serve_then":
+                args = (q(0, 3), q(0, 2))
+            elif kind == "transfer":
+                args = (rng.choice([1, 4096, 4097, 3 * 4096, 9 * 4096 + 5]),)
+            else:
+                args = (q(0, 3),)
+            steps.append((kind, args))
+        workers.append(env.process(worker(env, w, steps), name=f"w{w}"))
+
+    def main(env):
+        yield env.all_of(workers)
+
+    # Waiting on every process makes each one's end a scheduled event in
+    # both runs (with no waiter and no hook it would be marked inline).
+    done = env.process(main(env))
+    if hook is not None:
+        if subscribe_at is not None:
+            env.run(until=subscribe_at)
+            pending = sum(1 for entry in env._queue
+                          if type(entry[3]) is MethodType)
+            at_subscribe.extend([env.events_processed, pending])
+        env.add_trace_subscriber(hook)
+    env.run(until=done)
+    return {
+        "log": log,
+        "events": env.events_processed,
+        "direct_wakes": env.direct_wakes,
+        "fifo": (fifo.busy_time, fifo.ops, fifo.free_at),
+        "pool": (pool.busy_time, pool.ops),
+        "pipe": (pipe.busy_time, pipe._server.ops, pipe.bytes_moved,
+                 pipe.coalesced_ops, pipe.revoked_ops),
+        "at_subscribe": at_subscribe,
+    }
+
+
+@pytest.mark.parametrize("tie_seed", [None, 3, 11])
+def test_direct_wakes_match_the_timeout_path(tie_seed):
+    # A subscribed trace hook forces every reservation onto the Timeout
+    # path (as before direct wakes existed): the dispatch sequence, the
+    # event count and every server's accounting must not move.
+    revoked = 0
+    for seed in range(60):
+        direct = _direct_wake_schedule(seed, tie_seed)
+        timed = _direct_wake_schedule(seed, tie_seed, hook=lambda ev: None)
+        assert direct["log"] == timed["log"], f"seed {seed}"
+        for key in ("events", "fifo", "pool", "pipe"):
+            assert direct[key] == timed[key], (seed, key)
+        assert direct["direct_wakes"] > 0
+        assert timed["direct_wakes"] == 0
+        revoked += direct["pipe"][4]
+    assert revoked > 0  # the schedules do exercise pipe revocation
+
+
+def test_hook_subscribed_mid_run_does_not_see_earlier_direct_wakes():
+    # Documented in Environment._wake_at: wakes pushed before a hook
+    # subscribes are dispatched without it; everything later is seen.
+    for seed in range(20):
+        plain = _direct_wake_schedule(seed)
+        seen = []
+        mid = _direct_wake_schedule(seed, hook=seen.append,
+                                    subscribe_at=4 * _QUANTUM)
+        assert mid["log"] == plain["log"], f"seed {seed}"
+        assert mid["events"] == plain["events"]
+        events0, pending = mid["at_subscribe"]
+        assert pending > 0
+        # Every later dispatch is seen, except the wakes already pending.
+        assert len(seen) == mid["events"] - events0 - pending
+        assert all(hasattr(ev, "callbacks") for ev in seen)
+
+
+def test_reservation_returns_timeout_outside_a_process_or_under_a_hook():
+    env = Environment()
+    srv = FifoServer(env)
+    assert isinstance(srv.serve(1.0), Timeout)  # no active process
+    kinds = []
+
+    def proc(env):
+        wake = srv.serve(1.0)
+        kinds.append(type(wake))
+        yield wake
+
+    env.process(proc(env))
+    env.run()
+    assert kinds[0] is not Timeout and env.direct_wakes == 1
+    env.add_trace_subscriber(lambda ev: None)
+    env.process(proc(env))
+    env.run()
+    assert kinds[1] is Timeout and env.direct_wakes == 1
+
+
+def test_step_dispatches_direct_wakes():
+    env = Environment()
+    srv = FifoServer(env)
+    woke = []
+
+    def proc(env):
+        yield srv.serve(2.0)
+        woke.append(env.now)
+
+    env.process(proc(env))
+    env.step()  # Initialize: reserves
+    assert not woke
+    env.step()  # the direct wake
+    assert woke == [2.0] and env.events_processed == 2
+
+
+def test_wait_tracer_books_direct_wakes_like_timeouts():
+    # The claim a reservation makes on its wake-up Timeout is dropped when
+    # no Timeout is made, so a following sleep is still booked.
+    def run(hook):
+        env = Environment()
+        wt = WaitTracer(env)
+        wt.install()
+        if hook:
+            env.add_trace_subscriber(lambda ev: None)
+        srv = FifoServer(env, name="srv")
+
+        def proc(env):
+            yield srv.serve(1.0)
+            assert not wt._claimed
+            yield env.timeout(1.0)
+
+        env.process(proc(env))
+        env.run()
+        return {n: (a.count, a.wait, a.service, a.latency)
+                for n, a in wt.aggregates.items()}
+
+    assert run(hook=False) == run(hook=True)
+
+
+def test_interrupt_while_parked_on_a_reservation():
+    env = Environment()
+    srv = FifoServer(env)
+    other = FifoServer(env)
+    log = []
+
+    def victim(env):
+        try:
+            yield srv.serve(5.0)
+        except Interrupt as exc:
+            log.append(("interrupted", env.now, exc.cause))
+        yield other.serve(1.0)  # a new reservation after the interrupt
+        log.append(("served", env.now))
+        yield env.timeout(10.0)
+        log.append(("slept", env.now))
+
+    def interrupter(env, p):
+        yield env.timeout(2.0)
+        p.interrupt("stop")
+
+    p = env.process(victim(env))
+    env.process(interrupter(env, p))
+    env.run()
+    # Interrupted at 2, never resumed by the stale wake at 5.
+    assert log == [("interrupted", 2.0, "stop"), ("served", 3.0),
+                   ("slept", 13.0)]
+    assert not p.is_alive
+
+
+def test_parked_wake_passed_to_a_condition_raises():
+    for combine in ("all_of", "any_of"):
+        env = Environment()
+        srv = FifoServer(env)
+        resumed = []
+
+        def bad(env):
+            wake = srv.serve(1.0)
+            resumed.append(env.now)
+            yield getattr(env, combine)([wake])
+
+        env.process(bad(env), name="combiner")
+        with pytest.raises(SimulationError, match="'combiner'"):
+            env.run()
+        env.run()  # the stale wake pops inert: no second resumption
+        assert resumed == [0.0]
+
+
+def test_parked_wake_yielded_by_another_process_raises():
+    env = Environment()
+    srv = FifoServer(env)
+    shared, woke = [], []
+
+    def owner(env):
+        wake = srv.serve(1.0)
+        shared.append(wake)
+        yield wake
+        woke.append(env.now)
+
+    def thief(env):
+        yield env.timeout(0.5)
+        yield shared[0]
+
+    env.process(owner(env), name="owner")
+    env.process(thief(env), name="thief")
+    with pytest.raises(SimulationError, match="'thief'"):
+        env.run()
+    env.run()
+    assert woke == [1.0]  # the owner wakes once, on time
+
+
+def test_second_reservation_before_yielding_the_first_raises():
+    env = Environment()
+    srv = FifoServer(env)
+    resumed = []
+
+    def greedy(env):
+        srv.serve(1.0)  # simlint: disable=SIM007
+        resumed.append(env.now)
+        yield srv.serve(2.0)
+        resumed.append(env.now)
+
+    env.process(greedy(env), name="greedy")
+    with pytest.raises(SimulationError, match="'greedy'.*second reservation"):
+        env.run()
+    env.run()
+    assert resumed == [0.0]
+
+
+def test_unyielded_reservation_then_other_wait_or_return_raises():
+    env = Environment()
+    srv = FifoServer(env)
+
+    def sleeper(env):
+        srv.serve(1.0)  # simlint: disable=SIM007
+        yield env.timeout(3.0)
+
+    env.process(sleeper(env), name="sleeper")
+    with pytest.raises(SimulationError, match="'sleeper'.*unyielded"):
+        env.run()
+
+    env = Environment()
+    srv = FifoServer(env)
+
+    def quitter(env):
+        yield env.timeout(1.0)
+        srv.serve(1.0)  # simlint: disable=SIM007
+
+    p = env.process(quitter(env), name="quitter")
+    with pytest.raises(SimulationError, match="'quitter'.*unyielded"):
+        env.run()
+    env.run()
+    assert not p.ok

@@ -306,7 +306,8 @@ class TestLifecycle:
             col = SpanCollector(env)
             srv = FifoServer(env, rate=1e6, name="dev")
             res = Resource(env, capacity=2, name="lock")
-            tracer = WaitTracer(env).install() if traced else None
+            if traced:
+                WaitTracer(env).install()
             finish_times = []
 
             def op(env, i):

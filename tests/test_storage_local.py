@@ -3,7 +3,7 @@ and the PMDK tier."""
 
 import pytest
 
-from repro.hw import NvmeArray, make_paper_testbed
+from repro.hw import make_paper_testbed
 from repro.hw.specs import IOURING_PATH, KIB, MIB, NVME_SSD, US
 from repro.sim import Environment
 from repro.storage import (

@@ -1,12 +1,9 @@
 """Unit + shape tests for the NVMe-oF target/initiator (Fig. 4 machinery)."""
 
-import dataclasses
-
 import pytest
 
 from repro.hw import make_paper_testbed
-from repro.hw.platform import make_paper_testbed as _mpt
-from repro.hw.specs import EPYC_HOST, KIB, MIB, NVME_SSD, STORAGE_SERVER
+from repro.hw.specs import KIB, MIB, NVME_SSD
 from repro.net import Fabric
 from repro.sim import Environment
 from repro.storage import BlockDevice, NvmfInitiator, NvmfTarget

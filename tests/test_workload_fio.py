@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw import make_paper_testbed
-from repro.hw.specs import GIB, GPU_GENERATIONS, KIB, MIB, NVME_SSD
+from repro.hw.specs import GIB, GPU_GENERATIONS, KIB, MIB
 from repro.sim import Environment, RngStreams
 from repro.storage import BlockDevice, IoUringEngine
 from repro.workload import (
