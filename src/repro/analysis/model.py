@@ -37,6 +37,8 @@ RULES: Dict[str, str] = {
               "derivation",
     "SIM007": "reservation wake-up not yielded or returned where it "
               "is made",
+    "SIM008": "private wait-tracer or pipe accounting read from outside "
+              "its owner, skipping the settle-on-read",
 }
 
 

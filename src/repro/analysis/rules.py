@@ -21,11 +21,15 @@ Each rule encodes one way this codebase has learned determinism can rot
   ``git_sha``, ``code_fingerprint``, ``run_id``) inside content-hash /
   run-ID derivation code.
 * ``SIM007`` — in a hot-path package, a reservation call (``serve``,
-  ``serve_then``, ``serve_units``, ``execute``, ``enter``,
+  ``serve_then``, ``serve_units``, ``execute``, ``enter``, ``hold``,
   ``JobThread.run``) whose result is not directly the operand of
   ``yield`` or ``return``.  From a process a reservation pushes a
   direct wake of that process, so a discarded, stored or combined
   wake-up resumes it at the wrong point.
+* ``SIM008`` — reading another object's ``_aggregates`` or ``_server``
+  outside ``sim/waits.py`` and ``sim/queues.py``.  The wait tracer's
+  aggregates and a bandwidth pipe's busy time settle a coalesced
+  transfer's chunks on read; the private attributes skip that.
 
 The visitors are heuristic by design: precise enough that the clean
 tree carries only justified baseline entries, simple enough to audit.
@@ -92,7 +96,7 @@ _SIM006_CALLS = frozenset({
 
 #: Methods that reserve a server and return the caller's wake-up (SIM007).
 _SIM007_METHODS = frozenset({
-    "serve", "serve_then", "serve_units", "execute", "enter", "run"})
+    "serve", "serve_then", "serve_units", "execute", "enter", "hold", "run"})
 
 #: Last name of an argument that makes ``serve(x)`` an RPC/control-plane
 #: listener (``RpcServer.serve(channel)``), not a reservation.
@@ -101,6 +105,12 @@ _SIM007_LISTENER_ARG = re.compile(r"(^|_)(ch|chan|channel|conn|connection)$")
 #: Last name of a receiver that makes ``x.run(...)`` the kernel's event
 #: loop (``env.run``), not ``JobThread.run``.
 _SIM007_ENV_RECEIVER = re.compile(r"(^|_)env\d*$")
+
+
+#: Private accounting state whose public readers settle lazily booked
+#: pipe chunks first (SIM008), and the modules that own it.
+_SIM008_ATTRS = frozenset({"_aggregates", "_server"})
+_SIM008_HOMES = ("sim/waits.py", "sim/queues.py")
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -237,6 +247,10 @@ class _Checker(ast.NodeVisitor):
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
         self._sim006_access(node, node.slice)
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._sim008(node)
         self.generic_visit(node)
 
     # -- SIM001 ------------------------------------------------------
@@ -534,6 +548,25 @@ class _Checker(ast.NodeVisitor):
             "that yields it): from a process the reservation pushes a "
             "direct wake of that process, so a dropped, stored or "
             "combined wake-up resumes it at the wrong point")
+
+
+    # -- SIM008 ------------------------------------------------------
+
+    def _sim008(self, node: ast.Attribute) -> None:
+        if node.attr not in _SIM008_ATTRS or not isinstance(node.ctx, ast.Load):
+            return
+        if isinstance(node.value, ast.Name) and node.value.id == "self":
+            return
+        if self.relpath.replace("\\", "/").endswith(_SIM008_HOMES):
+            return
+        self._emit(
+            node, "SIM008",
+            f"private accounting state .{node.attr} read from outside "
+            "its owner",
+            "read the public view (`tracer.aggregates`, `pipe.busy_time`, "
+            "`pipe.name`) or add one to the owning class: the public "
+            "readers settle a coalesced pipe transfer's lazily booked "
+            "chunks to the current instant first")
 
 
 def _sim006_get_calls(checker: _Checker, tree: ast.AST) -> None:

@@ -306,7 +306,7 @@ def doctor_stations(system: Ros2System) -> list:
         add(rx.name, rx.busy_time, rx.n_cores)
         node.lock("tcp_stack")
         for sec in node._locks.values():
-            add(sec._server.name, sec.busy_time, 1)
+            add(sec.wait_name, sec.busy_time, 1)
         port = getattr(node, "port", None)
         if port is not None:
             add(port.tx.name, port.tx.busy_time, 1)

@@ -352,10 +352,10 @@ class FaultInjector:
 
     def _stall(self, node: object, lock_name: str,
                duration: float) -> Generator["Event", None, None]:
-        # Occupy the serialized section's server for exactly ``duration``
+        # ``hold`` occupies the section for exactly ``duration``
         # (``enter()`` would scale by the node's lock factor).
         section = node.lock(lock_name)  # type: ignore[attr-defined]
-        yield section._server.serve(duration)
+        yield section.hold(duration)
 
 
 def _union_length(spans: List[Tuple[float, float]]) -> float:

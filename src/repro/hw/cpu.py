@@ -112,6 +112,15 @@ class SerializedSection:
         """Pass through the section, paying ``x86_cost`` (scaled) serially."""
         return self._server.serve(x86_cost * self.factor)
 
+    def hold(self, duration: float) -> Wake:
+        """Occupy the section for exactly ``duration`` (no lock factor)."""
+        return self._server.serve(duration)
+
+    @property
+    def wait_name(self) -> str:
+        """The blame bucket the section's waits are attributed to."""
+        return self._server.name
+
     @property
     def busy_time(self) -> float:
         """Cumulative serialized seconds."""

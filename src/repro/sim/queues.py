@@ -286,13 +286,23 @@ class BandwidthPipe:
     while overlapping transfers keep the documented fairness bound (a new
     arrival waits for at most the chunk in flight).
 
+    **Under a wait tracer** a transfer coalesces too, unless its mover
+    has an open span (each chunk's record must land in the span) or the
+    pipe is anonymous.  The tracer books the first chunk at reservation;
+    chunks 2..n are booked lazily (:meth:`_book`) when the tracer's
+    aggregates or this pipe's ``busy_time`` are read, and when the
+    transfer completes, is revoked or aborted, or the tracer is
+    uninstalled.  Each reader thus sees the chunked run's value at the
+    current instant.
+
     Use from a process as ``yield from pipe.transfer(nbytes)``.
     """
 
     __slots__ = ("env", "bandwidth", "latency", "chunk_bytes", "_server",
                  "bytes_moved", "coalesce", "_inflight", "_co_gate",
                  "_co_start", "_co_done", "_co_busy0", "_co_bytes",
-                 "_co_unsent", "coalesced_ops", "revoked_ops")
+                 "_co_unsent", "_co_wt", "_co_booked", "_co_bend",
+                 "_co_bbusy", "coalesced_ops", "revoked_ops")
 
     def __init__(
         self,
@@ -335,6 +345,15 @@ class BandwidthPipe:
         self._co_bytes = 0
         #: Set by a revocation: bytes the owner must re-send chunked.
         self._co_unsent = 0
+        # A coalesced reservation made under a wait tracer books its first
+        # chunk at once and the rest as the chunked run would have reserved
+        # them: the tracer (None when untraced), the chunks booked so far,
+        # the end of the last booked chunk and the server busy time after
+        # it.
+        self._co_wt = None
+        self._co_booked = 0
+        self._co_bend = 0.0
+        self._co_bbusy = 0.0
         #: Count of coalesced reservations (perf accounting).
         self.coalesced_ops = 0
         #: Count of revocations (contention arriving mid-coalesce).
@@ -347,7 +366,16 @@ class BandwidthPipe:
 
     @property
     def busy_time(self) -> float:
-        """Cumulative seconds the pipe spent transmitting."""
+        """Cumulative seconds the pipe spent transmitting.
+
+        While a coalesced reservation made under a wait tracer is pending,
+        this is the chunked run's value at the current instant, which
+        counts only the chunks reserved so far.  An untraced coalesced
+        reservation counts its whole payload from the start.
+        """
+        if self._co_wt is not None:
+            self._book(self.env._now)
+            return self._co_bbusy
         return self._server.busy_time
 
     @property
@@ -357,7 +385,8 @@ class BandwidthPipe:
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of time the pipe was transmitting."""
-        return self._server.utilization(elapsed)
+        span = self.env.now if elapsed is None else elapsed
+        return 0.0 if span <= 0 else min(1.0, self.busy_time / span)
 
     def transfer(self, nbytes: int) -> Generator[Event, None, None]:
         """Move ``nbytes`` through the pipe; completes after the last chunk.
@@ -399,52 +428,64 @@ class BandwidthPipe:
         try:
             remaining = nbytes
             # Loop-invariant coalescing eligibility (only ``_inflight``
-            # changes mid-transfer; a telemetry recorder or wait tracer is
-            # attached between runs, never mid-transfer).  With a wait
-            # tracer installed we stay chunked so every reservation is
-            # observed individually — the chunked path is exactly
-            # equivalent by construction (DESIGN.md §9).
+            # changes mid-transfer; a telemetry recorder is attached
+            # between runs, never mid-transfer).  With a telemetry recorder
+            # attached we stay chunked so per-chunk station records are
+            # preserved exactly.  Under a wait tracer a mover with an open
+            # span stays chunked so each chunk's WaitRecord lands in its
+            # span, and so does an anonymous pipe, whose chunks book into
+            # the ``(anon)`` aggregate shared with other primitives.
+            wt = self.env._wait_tracer
             can_coalesce = (self.coalesce and srv._stats is None
-                            and self.env._wait_tracer is None)
+                            and (wt is None or (
+                                srv.name is not None
+                                and not wt._stacks.get(self.env._active))))
             while remaining > 0:
                 if can_coalesce and self._inflight == 1:
                     # Alone on the pipe: one analytic reservation, one event.
-                    # (With a telemetry recorder attached we stay chunked so
-                    # per-chunk station records are preserved exactly;
-                    # samplers only probe pipes via busy_time in practice.)
                     gate = self._reserve_remaining(remaining)
-                    try:
-                        yield gate
-                    except BaseException:
-                        # Interrupted/killed mid-coalesce: hand back the
-                        # untransmitted tail so the pipe is not left
-                        # spuriously busy (chunked mode loses at most the
-                        # chunk in flight; so do we).
+                    if gate is not None:
+                        try:
+                            yield gate
+                        except BaseException:
+                            # Interrupted/killed mid-coalesce: hand back
+                            # the untransmitted tail so the pipe is not
+                            # left spuriously busy (chunked mode loses at
+                            # most the chunk in flight; so do we).
+                            if self._co_gate is gate:
+                                self._abort_coalesced()
+                            raise
                         if self._co_gate is gate:
-                            self._abort_coalesced()
-                        raise
-                    if self._co_gate is gate:
-                        # Ran to completion un-revoked.
-                        self._co_gate = None
-                        remaining = 0
-                    else:
-                        # Revoked: continue with the clawed-back tail.
-                        remaining = self._co_unsent
-                        self._co_unsent = 0
-                else:
-                    take = chunk if remaining > chunk else remaining
-                    yield srv.serve(take / bw)
-                    remaining -= take
+                            # Ran to completion un-revoked.
+                            self._co_gate = None
+                            if self._co_wt is not None:
+                                self._settle()
+                            remaining = 0
+                        else:
+                            # Revoked: continue with the clawed-back tail.
+                            remaining = self._co_unsent
+                            self._co_unsent = 0
+                        continue
+                take = chunk if remaining > chunk else remaining
+                yield srv.serve(take / bw)
+                remaining -= take
         finally:
             self._inflight -= 1
 
     # -- coalescing internals ------------------------------------------------
-    def _reserve_remaining(self, nbytes: int) -> Timeout:
+    def _reserve_remaining(self, nbytes: int) -> Optional[Timeout]:
         """Reserve ``nbytes`` on the server analytically; return the gate.
 
         Completion time, busy time and op count are accumulated with the
         same per-chunk float additions the chunked path performs, so the
         reservation is bit-identical to serving each chunk individually.
+
+        Under a wait tracer the first chunk is booked now, as its chunked
+        reservation would be, and the rest lazily (:meth:`_book`).  That
+        holds only where every chunked wake fires exactly on its chunk
+        end, which ``done <= 2 * now`` guarantees (DESIGN.md §9), and
+        while no other pipe of the same name is pending; otherwise
+        nothing is reserved and None sends the caller down one chunk.
         """
         env = self.env
         srv = self._server
@@ -465,14 +506,22 @@ class BandwidthPipe:
             tail_time = tail / bw
             done += tail_time
             busy += tail_time
+        wt = env._wait_tracer
+        if wt is not None:
+            if done > 2 * now or srv.name in wt._pending:
+                return None
+            first = chunk_time if full else tail_time
+            wt.reserve(srv.name, start - now, first)
+            wt._pending[srv.name] = self
+            self._co_wt = wt
+            self._co_booked = 1
+            self._co_bend = start + first
+            self._co_bbusy = busy0 + first
         srv._free_at = done
         srv.busy_time = busy
         srv.ops += full + (1 if tail else 0)
         if srv._stats is not None:  # pragma: no cover - guarded by caller
             srv._stats.record(now, done)
-        wt = env._wait_tracer
-        if wt is not None:  # pragma: no cover - guarded by caller
-            wt.reserve(srv.name, start - now, done - start)
         gate = env.timeout(done - now)
         self._co_gate = gate
         self._co_start = start
@@ -482,6 +531,45 @@ class BandwidthPipe:
         self._co_unsent = 0
         self.coalesced_ops += 1
         return gate
+
+    def _book(self, now: float) -> None:
+        """Book every chunk the chunked run would have reserved by ``now``.
+
+        The chunked owner reserves chunk ``k + 1`` when chunk ``k`` ends;
+        a chunk ending exactly at ``now`` counts as ended, with the next
+        one reserved (:meth:`_rollback_tail`'s rule).  Each booking is the
+        chunk's own ``wt.reserve``: one more op and its service time on
+        the pipe's aggregate, with the chunk ends and busy time walked
+        by the running sums the reservation accumulated.  Its wait and
+        latency are 0.0, which leave the totals as they are, and the
+        spanless mover writes no record.
+        """
+        n = ceil(self._co_bytes / self.chunk_bytes)
+        k = self._co_booked
+        end = self._co_bend
+        if k == n or end > now:
+            return
+        busy = self._co_bbusy
+        bw = self.bandwidth
+        chunk_time = self.chunk_bytes / bw
+        last = (self._co_bytes - (n - 1) * self.chunk_bytes) / bw
+        agg = self._co_wt._aggregates[self._server.name]
+        while k < n and end <= now:
+            k += 1
+            t = chunk_time if k < n else last
+            end += t
+            busy += t
+            agg.count += 1
+            agg.service += t
+        self._co_booked = k
+        self._co_bend = end
+        self._co_bbusy = busy
+
+    def _settle(self) -> None:
+        """The traced reservation ends now: book up to now and detach."""
+        self._book(self.env._now)
+        del self._co_wt._pending[self._server.name]
+        self._co_wt = None
 
     def _rollback_tail(self) -> int:
         """Give the server back every chunk not yet in flight.
@@ -527,6 +615,8 @@ class BandwidthPipe:
     def _revoke(self) -> None:
         """A second transfer arrived mid-coalesce: truncate and re-wake."""
         gate = self._co_gate
+        if self._co_wt is not None:
+            self._settle()
         unsent = self._rollback_tail()
         if unsent == 0:
             return  # reservation is effectively all in flight; leave it
@@ -541,8 +631,8 @@ class BandwidthPipe:
         # keep working — moves to a fresh gate.
         wt = env._wait_tracer
         if wt is not None:
-            # Tracer installed mid-coalesce: the re-wake is bookkeeping for
-            # an already-recorded reservation, not a new wait.
+            # The re-wake is bookkeeping for an already-booked reservation,
+            # not a new wait.
             wt._claimed = True
         new_gate = env.timeout(self._server._free_at - env.now)
         callbacks = gate.callbacks
@@ -558,6 +648,8 @@ class BandwidthPipe:
         """The coalescing owner died mid-wait: return the unsent tail."""
         gate = self._co_gate
         self._co_gate = None
+        if self._co_wt is not None:
+            self._settle()
         self._rollback_tail()
         if gate is not None and gate.callbacks is not None:
             gate.callbacks = []  # fires inert

@@ -28,12 +28,19 @@ Design rules (shared with spans and station stats):
 * **Zero cost when off** — every hook site guards with one
   ``env._wait_tracer is not None`` attribute test; nothing is allocated
   and no branch beyond the test is taken when no tracer is installed.
-* **Pure observation** — the tracer never schedules events or perturbs
-  wake-up order; a traced run is bit-identical to an untraced one.  (The
-  only interaction is that :class:`~repro.sim.queues.BandwidthPipe`
-  disables its coalescing fast path while a tracer is installed so that
-  per-chunk reservations are observed individually — the pipe's chunked
-  path is exactly equivalent by construction, see DESIGN.md §9.)
+* **Pure observation, with one exception** — the tracer never schedules
+  events or perturbs wake-up order, except in
+  :class:`~repro.sim.queues.BandwidthPipe`.  A transfer whose mover has
+  an open span, or on an anonymous pipe, stays chunked so that each
+  chunk's record lands in its span (one event per chunk, where the
+  untraced pipe coalesces the payload into one); one that would end
+  after twice the current time moves chunk by chunk until it would
+  not (DESIGN.md §9).  Otherwise a spanless transfer on a
+  named pipe coalesces as untraced: its first chunk is booked at
+  reservation and the rest lazily, in chunk order, when the chunked run
+  would have reserved them.  :attr:`WaitTracer.aggregates` and the
+  pipe's ``busy_time`` settle them on read, so every reader sees the
+  chunked run's value at the current instant (DESIGN.md §9–§10).
 * **Bounded memory** — the flat record list stops growing at
   ``max_records`` (the drop count is reported), per-resource aggregate
   scalars are O(#resources), and the per-resource cumulative-wait
@@ -42,8 +49,9 @@ Design rules (shared with spans and station stats):
 Two accounting streams come out:
 
 * :attr:`WaitTracer.aggregates` — per-resource scalar totals over *all*
-  operations since install (prefill included).  These pair with each
-  station's own ``busy_time`` for the doctor's utilization-law check.
+  operations since install (prefill included), as of the current
+  instant.  These pair with each station's own ``busy_time`` for the
+  doctor's utilization-law check.
 * :attr:`WaitTracer.records` — span-attributed events (only recorded when
   the waiting process has an open span, i.e. for sampled requests).
   These feed the blame ranking, the per-span decomposition and the
@@ -163,8 +171,12 @@ class WaitTracer:
         self.records: List[WaitRecord] = []
         #: Events not recorded because ``max_records`` was reached.
         self.records_dropped = 0
-        #: Per-resource totals over all operations since install.
-        self.aggregates: Dict[str, ResourceWait] = {}
+        # Per-resource totals over all operations since install; read
+        # through :attr:`aggregates`, which settles pending pipes first.
+        self._aggregates: Dict[str, ResourceWait] = {}
+        # Pipe name -> the BandwidthPipe whose coalesced reservation still
+        # has chunks to book (see BandwidthPipe._book).
+        self._pending: Dict[str, object] = {}
         # Per-process open-span stacks, keyed by the Process object that
         # pushed the span (None for module-level pushes).
         self._stacks: Dict[object, List["Span"]] = {}
@@ -195,9 +207,28 @@ class WaitTracer:
         return self
 
     def uninstall(self) -> None:
-        """Detach; hooks revert to the zero-cost no-tracer path."""
+        """Detach; hooks revert to the zero-cost no-tracer path.
+
+        Pending pipes book the chunks reserved so far and nothing after.
+        """
         if self.env._wait_tracer is self:
             self.env._wait_tracer = None
+            for pipe in list(self._pending.values()):
+                pipe._settle()
+
+    @property
+    def aggregates(self) -> Dict[str, ResourceWait]:
+        """Per-resource totals over all operations since install, as of now.
+
+        A spanless coalesced pipe transfer books its chunks lazily; they
+        are settled here, so the totals are those of the chunked run at
+        the current instant.
+        """
+        if self._pending:
+            now = self.env._now
+            for pipe in self._pending.values():
+                pipe._book(now)
+        return self._aggregates
 
     def __enter__(self) -> "WaitTracer":
         return self.install()
@@ -245,9 +276,9 @@ class WaitTracer:
         self._claimed = True
         if name is None:
             name = ANON_RESOURCE
-        agg = self.aggregates.get(name)
+        agg = self._aggregates.get(name)
         if agg is None:
-            agg = self.aggregates[name] = ResourceWait(name)
+            agg = self._aggregates[name] = ResourceWait(name)
         agg.count += 1
         agg.wait += wait
         agg.service += service
@@ -274,9 +305,9 @@ class WaitTracer:
         stack = self._stacks.get(self.env._active)
         if not stack:
             return
-        agg = self.aggregates.get(SLEEP_RESOURCE)
+        agg = self._aggregates.get(SLEEP_RESOURCE)
         if agg is None:
-            agg = self.aggregates[SLEEP_RESOURCE] = ResourceWait(SLEEP_RESOURCE)
+            agg = self._aggregates[SLEEP_RESOURCE] = ResourceWait(SLEEP_RESOURCE)
         agg.count += 1
         agg.latency += delay
         self._append(WaitRecord(stack[-1], SLEEP_RESOURCE, SLEEP,
@@ -297,9 +328,9 @@ class WaitTracer:
         name, t0, span = info
         now = self.env._now
         dur = now - t0
-        agg = self.aggregates.get(name)
+        agg = self._aggregates.get(name)
         if agg is None:
-            agg = self.aggregates[name] = ResourceWait(name)
+            agg = self._aggregates[name] = ResourceWait(name)
         agg.count += 1
         agg.block += dur
         if dur > 0.0:

@@ -261,7 +261,7 @@ def test_cli_lint_exit_codes(tmp_path, capsys):
     assert rc == 1
     doc = json.loads((tmp_path / "lint.json").read_text())
     assert doc["format"] == "repro-lint-v1"
-    assert doc["counts"]["findings"] == 12
+    assert doc["counts"]["findings"] == 14
     assert not doc["ok"]
 
     clean = tmp_path / "clean.py"

@@ -46,12 +46,18 @@ def test_shuffle_preserves_ledger_byte_identity(tie_seed):
     assert a == b
 
 
-def test_shuffled_metrics_stay_in_envelope(rdma_reference):
-    var = build_record("rdma", runtime=RUNTIME, tie_seed=7)
-    assert compare_metrics(rdma_reference, var) == []
+def test_shuffled_metrics_stay_in_envelope():
+    # The envelope is compared at the sanitizer's default window, where
+    # CI's ``sanitize`` runs it.  At RUNTIME the tail envelope on
+    # ``result.latency.max`` is crossed by a few tie seeds in twenty (the
+    # maximum then tracks one of a few hundred IOs; EXPERIMENTS.md has
+    # the sweep), so a pass there says which seed was picked.
+    ref = build_record("rdma", tie_seed=None)
+    var = build_record("rdma", tie_seed=7)
+    assert compare_metrics(ref, var) == []
     # The shuffle is not a no-op: the full record may legitimately
     # differ (per-request attribution tracks the realized schedule).
-    assert var["config"] == rdma_reference["config"]
+    assert var["config"] == ref["config"]
 
 
 def test_fifo_rerun_is_byte_identical(rdma_reference):

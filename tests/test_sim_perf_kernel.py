@@ -35,6 +35,7 @@ from repro.hw.specs import RDMA_COSTS
 from repro.sim.core import Environment, Interrupt, SimulationError, Timeout
 from repro.sim.queues import BandwidthPipe, FifoServer, PooledServer
 from repro.sim.resources import PriorityResource, Resource
+from repro.sim.spans import SpanCollector
 from repro.sim.waits import WaitTracer
 
 
@@ -227,6 +228,182 @@ def test_chunk_burst_fairness_bound_when_overlapping():
     small_done = a["done"][1]
     worst = arrival + latency + chunk_time + small / bandwidth
     assert small_done <= worst + 1e-12, (small_done, worst)
+
+
+def _traced_schedule(seed, coalesce, name="p"):
+    """A random contended pipe schedule run under a :class:`WaitTracer`.
+
+    Spanless and spanned movers (some starting within microseconds of
+    t=0, where one transfer outlasts the current time), an interrupt of
+    one mover, optionally an uninstall of the tracer mid-run, and a
+    reader that snapshots the tracer's aggregates and the pipe's
+    ``busy_time`` at random instants and on the first mover's chunk ends.
+    A read on a chunk end is woken just before it, after the events of
+    that instant were scheduled: the owner's next chunk (DESIGN.md §9)
+    and a revoked owner's re-wake, which takes its place in the heap at
+    the revocation, not at the previous chunk end.
+    """
+    rng = random.Random(seed)
+    bandwidth = rng.choice([10e9, 12.5e9, 25e9])
+    latency = rng.choice([0.0, 2e-6])
+    chunk = 64 * 1024
+    chunk_time = chunk / bandwidth
+    env = Environment()
+    pipe = BandwidthPipe(env, bandwidth=bandwidth, latency=latency,
+                         chunk_bytes=chunk, coalesce=coalesce, name=name)
+    wt = WaitTracer(env).install()
+    col = SpanCollector(env)
+    done, reads, hits = {}, [], []
+
+    def mover(env, i, start, nbytes, spanned):
+        tr = None
+        try:
+            yield env.timeout(start)
+            tr = col.trace("io") if spanned else None
+            yield from pipe.transfer(nbytes)
+            done[i] = env.now
+        except Interrupt:
+            done[i] = ("interrupted", env.now)
+        if tr is not None:
+            tr.finish()
+
+    s0 = rng.uniform(1e-5, 3e-5)
+    jobs = [(s0, rng.randrange(4, 12) * chunk + rng.randrange(chunk), False)]
+    for _ in range(rng.randrange(4, 14)):
+        start = (rng.uniform(0.0, 3e-6) if rng.random() < 0.2
+                 else rng.uniform(0.0, 4e-4))
+        jobs.append((start, rng.randrange(1, 6 * chunk),
+                     rng.random() < 0.3))
+    procs = [env.process(mover(env, i, *job)) for i, job in enumerate(jobs)]
+
+    def interrupter(env, victim, at):
+        yield env.timeout(at)
+        if victim.is_alive:
+            hits.append(pipe._co_gate is not None
+                        and victim._target is pipe._co_gate)
+            victim.interrupt()
+
+    env.process(interrupter(env, rng.choice(procs), rng.uniform(1e-5, 4e-4)))
+    uninstall_at = rng.uniform(2e-4, 4e-4) if rng.random() < 0.3 else None
+    if uninstall_at is not None:
+        def uninstaller(env):
+            yield env.timeout(uninstall_at)
+            wt.uninstall()
+
+        env.process(uninstaller(env))
+
+    boundary = s0 + latency
+    times = [rng.uniform(0.0, 5e-4) for _ in range(12)]
+    for _ in range(jobs[0][1] // chunk):
+        boundary += chunk_time
+        times.append(boundary)
+
+    def reader(env):
+        for t in sorted(set(times)):
+            if t - chunk_time / 1000 > env.now:
+                yield env.timeout_until(t - chunk_time / 1000)
+            if t > env.now:
+                yield env.timeout_until(t)
+            installed = env._wait_tracer is wt
+            reads.append((env.now, pipe.busy_time if installed else None,
+                          _aggregates(wt)))
+
+    env.process(reader(env))
+    env.run()
+    spans = {}
+    return {
+        "done": done,
+        "reads": reads,
+        "busy_time": pipe.busy_time,
+        "ops": pipe._server.ops,
+        "aggregates": _aggregates(wt),
+        # Span ids count up across runs; number them by first appearance.
+        "records": [(spans.setdefault(r.span.span_id, len(spans)), r.resource,
+                     r.kind, r.wait, r.service, r.latency, r.t)
+                    for r in wt.records],
+        "series": [(ts.name, ts.points()) for ts in wt.wait_series()],
+        "hits": hits,
+        "coalesced_ops": pipe.coalesced_ops,
+        "revoked_ops": pipe.revoked_ops,
+        "events": env.events_processed,
+    }
+
+
+def _aggregates(wt):
+    return {k: (v.count, v.wait, v.service, v.latency, v.block)
+            for k, v in wt.aggregates.items()}
+
+
+_TRACED_KEYS = ("done", "reads", "busy_time", "ops", "aggregates", "records",
+                "series")
+
+
+def test_traced_coalescing_bit_identical_to_chunked():
+    # Under a wait tracer a spanless transfer coalesces and books its
+    # chunks lazily; every reader of the tracer's or the pipe's
+    # accounting sees, at any instant, what the chunked run shows then.
+    coalesced = revoked = owner_interrupts = 0
+    for seed in range(60):
+        a = _traced_schedule(seed, coalesce=True)
+        b = _traced_schedule(seed, coalesce=False)
+        for key in _TRACED_KEYS:
+            assert a[key] == b[key], f"seed {seed}: {key}"
+        coalesced += a["coalesced_ops"]
+        revoked += a["revoked_ops"]
+        owner_interrupts += sum(a["hits"])
+    # The schedules exercise what they claim to.
+    assert coalesced > 0 and revoked > 0 and owner_interrupts > 0
+
+
+def test_traced_anonymous_pipe_stays_chunked():
+    # An anonymous pipe's chunks share the ``(anon)`` aggregate with every
+    # other unnamed primitive, so it does not coalesce under the tracer.
+    for seed in range(4):
+        a = _traced_schedule(seed, coalesce=True, name=None)
+        b = _traced_schedule(seed, coalesce=False, name=None)
+        for key in _TRACED_KEYS:
+            assert a[key] == b[key], f"seed {seed}: {key}"
+        assert a["events"] == b["events"]
+
+
+def test_traced_pipes_sharing_a_name_book_in_chunk_order():
+    # Two pipes under one name feed one aggregate: only one of them may
+    # have lazily booked chunks pending, so the other moves chunk by chunk
+    # and the aggregate sums every chunk in the chunked run's order.
+    def run(coalesce):
+        env = Environment()
+        pipes = [BandwidthPipe(env, bandwidth=10e9, coalesce=coalesce,
+                               name="p") for _ in range(2)]
+        wt = WaitTracer(env).install()
+        done = []
+
+        def mover(env, pipe, start, nbytes):
+            yield env.timeout(start)
+            yield from pipe.transfer(nbytes)
+            done.append(env.now)
+
+        for i, (start, nbytes) in enumerate([(1e-4, 700_000), (1.1e-4, 900_000),
+                                             (1.3e-4, 300_000)]):
+            env.process(mover(env, pipes[i % 2], start, nbytes))
+        env.run()
+        return done, _aggregates(wt), [p.busy_time for p in pipes]
+
+    assert run(True) == run(False)
+
+
+def test_spanless_wait_tracer_adds_no_events_to_a_cell():
+    # The tier-1 form of "what the wait tracer costs when on": on 1 MiB
+    # RDMA and TCP cells, where every payload crosses multi-chunk pipes,
+    # installing the tracer (spans off) dispatches not one more event.
+    from repro.bench.runner import run_fig5_cell
+
+    for provider in ("rdma", "tcp"):
+        runs = [run_fig5_cell(provider, "dpu", "read", 1 << 20, 2,
+                              runtime=0.002, waits=waits)
+                for waits in (False, True)]
+        plain, traced = (r.system.env.events_processed for r in runs)
+        assert traced == plain, provider
+        assert runs[0].result.iops == runs[1].result.iops
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +651,14 @@ def test_rendezvous_send_folds_its_round_trip_into_the_post():
     # Above the rendezvous threshold the untraced post carries the stack
     # latency and the RTS/CTS round trip; the propagation stays its own
     # event.  Traced, all three sleeps are separate, with the round trip
-    # in its own span.
+    # in its own span.  The wire bytes span two chunks: the spanless
+    # sender's TX and RX pipe transfers coalesce into one wake each under
+    # the wait tracer, the spanned sender's stay two chunk wakes each.
     nbytes = 4 * RDMA_COSTS.rendezvous_threshold
     env_u, _, arrived_u, _, _ = _one_rdma_send(traced=False, nbytes=nbytes)
     env_t, _, arrived_t, col, _ = _one_rdma_send(traced=True, nbytes=nbytes)
     assert arrived_t == arrived_u
-    assert env_t.events_processed == env_u.events_processed + 2
+    assert env_t.events_processed == env_u.events_processed + 2 + 2
     spans = {s.name: s for s in col.spans}
     assert spans["rdma.rendezvous"].t_start > spans["rdma.post"].t_end
     assert spans["rdma.eager"].t_start == spans["rdma.rendezvous"].t_end
